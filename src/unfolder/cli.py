@@ -28,7 +28,7 @@ from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
                      UnfoldingError)
 from .histogram import Axis, Histogram, l1_distance, rebin_axes
 from .response import ResponseMatrix, read_pairs_csv, write_pairs_csv
-from .simulate import Scenario, generate
+from .simulate import GaussianSmearing, Scenario, generate
 from .svg import Series, write as write_svg
 from .unfold import ErrorBudget, StoppingPolicy, run
 
@@ -58,10 +58,11 @@ def _rebin_arg(text):
 def _stop_arg(text):
     if text == "min-total":
         return ("min_total", None)
-    for prefix, rule in (("fixed=", "fixed"), ("stat-frac=", "stat_fraction")):
+    for prefix, rule, parse in (("fixed=", "fixed", int),
+                                ("stat-frac=", "stat_fraction", float)):
         if text.startswith(prefix):
             try:
-                return (rule, float(text[len(prefix):]))
+                return (rule, parse(text[len(prefix):]))
             except ValueError:
                 break
     raise argparse.ArgumentTypeError(
@@ -70,11 +71,14 @@ def _stop_arg(text):
 
 def _policy(stop, max_iterations):
     rule, value = stop
-    if rule == "fixed":
-        return StoppingPolicy.fixed(int(value), max_iterations=max_iterations)
-    if rule == "stat_fraction":
-        return StoppingPolicy.stat_fraction(value, max_iterations=max_iterations)
-    return StoppingPolicy.min_total(max_iterations=max_iterations)
+    try:
+        if rule == "fixed":
+            return StoppingPolicy.fixed(value, max_iterations=max_iterations)
+        if rule == "stat_fraction":
+            return StoppingPolicy.stat_fraction(value, max_iterations=max_iterations)
+        return StoppingPolicy.min_total(max_iterations=max_iterations)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_config(path):
@@ -88,11 +92,6 @@ def _resolve_config(path):
     raise ConfigError(f"no such scenario config: {path}")
 
 
-def _gauss_kernel(sigma):
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-    return lambda y, x: norm * np.exp(-0.5 * ((y - x) / sigma) ** 2)
-
-
 def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
         if args.kernel != "gauss":
@@ -100,7 +99,7 @@ def _build_response(args, meas_axis, true_axis):
         if args.sigma is None or args.sigma <= 0:
             raise ConfigError("--kernel gauss requires --sigma > 0", field="sigma")
         return ResponseMatrix.from_kernel(
-            _gauss_kernel(args.sigma), true_axis, meas_axis,
+            GaussianSmearing(args.sigma).kernel(), true_axis, meas_axis,
             quad_points=args.quad_points)
     return ResponseMatrix.from_pairs(read_pairs_csv(args.pairs),
                                      true_axis, meas_axis)
@@ -140,6 +139,7 @@ def _cmd_response(args):
 
 
 def _cmd_unfold(args):
+    policy = _policy(args.stop, args.max_iterations)
     measured = Histogram.load_json(args.measured)
     if args.response is not None:
         if args.rebin is not None:
@@ -154,7 +154,6 @@ def _cmd_unfold(args):
     syst = None
     if args.syst is not None:
         syst = Histogram.load_json(args.syst).contents
-    policy = _policy(args.stop, args.max_iterations)
     outcome = run(rm, measured, policy, syst=syst)
     outcome.result.save_json(args.out)
     if args.trace:

@@ -14,6 +14,7 @@ its spectral radius from above for non-negative matrices.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -303,9 +304,8 @@ def write_pairs_csv(path, pairs):
     p = np.asarray(pairs, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for x, y in p:
-            fh.write(f"{float(x)!r},"
-                     f"{'MISS' if not np.isfinite(y) else repr(float(y))}\n")
+        for x, y in p.tolist():
+            fh.write(f"{x!r},{repr(y) if math.isfinite(y) else 'MISS'}\n")
 
 
 def read_pairs_csv(path) -> np.ndarray:

@@ -41,8 +41,15 @@ class CauchyTruth:
             raise ValueError("scale must be positive")
 
     def sample(self, rng, n):
+        # in place, same operations in the same order as
+        # location + scale * tan(pi * (u - 0.5))
         u = rng.random(n)
-        return self.location + self.scale * np.tan(np.pi * (u - 0.5))
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
+        u *= self.scale
+        u += self.location
+        return u
 
     def cdf(self, x):
         return 0.5 + np.arctan((np.asarray(x) - self.location) / self.scale) / np.pi
@@ -83,9 +90,15 @@ class PowerlawTruth:
             raise ValueError("scale_energy must be positive")
 
     def sample(self, rng, n):
+        # in place, same operations in the same order as
+        # nt * ((1 - u) ** (-1 / (n - 1)) - 1)
         u = rng.random(n)
         nt = self.exponent * self.scale_energy
-        return nt * ((1.0 - u) ** (-1.0 / (self.exponent - 1.0)) - 1.0)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / (self.exponent - 1.0)
+        u -= 1.0
+        u *= nt
+        return u
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -107,7 +120,11 @@ class GaussianSmearing:
     def apply(self, rng, x):
         if self.sigma == 0:
             return x.copy()
-        return x + rng.normal(0.0, self.sigma, x.size)
+        # normal(0, sigma), not sigma * standard_normal: 0.0 + sigma * z
+        # and sigma * z can differ in the sign of zero
+        y = rng.normal(0.0, self.sigma, x.size)
+        y += x
+        return y
 
     def kernel(self):
         """Vectorized response density rho(y | x)."""
@@ -136,11 +153,20 @@ class CalorimeterSmearing:
         a, b = self.stochastic_a, self.constant_b
         if a == 0 and b == 0:
             return x.copy()
+        # in place, same operations in the same order as
+        # rel = sqrt(where(x > 0, a^2 / x, 0) + b^2);
+        # maximum(where(x > 0, x * (1 + rel * z), x), 0)
         positive = x > 0
-        rel = np.sqrt(np.where(positive, a * a / np.where(positive, x, 1.0), 0.0)
-                      + b * b)
-        y = x * (1.0 + rel * rng.normal(0.0, 1.0, x.size))
-        return np.maximum(np.where(positive, y, x), 0.0)
+        rel = np.zeros(x.shape)
+        np.divide(a * a, x, out=rel, where=positive)
+        rel += b * b
+        np.sqrt(rel, out=rel)
+        y = rng.standard_normal(x.size)
+        y *= rel
+        y += 1.0
+        y *= x
+        np.copyto(y, x, where=~positive)
+        return np.maximum(y, 0.0, out=y)
 
 
 _TRUTH_TYPES = {
@@ -258,9 +284,15 @@ class GenerateResult:
     meas_overflow: int
 
 
-def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
-    x = np.asarray(sc.truth.sample(rng, n_entries), dtype=np.float64)
+def _sample(sc: Scenario, rng, n):
+    """Draw `n` true values and their measured values from `rng`."""
+    x = np.asarray(sc.truth.sample(rng, n), dtype=np.float64)
     y = np.asarray(sc.smearing.apply(rng, x), dtype=np.float64)
+    return x, y
+
+
+def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
+    x, y = _sample(sc, rng, n_entries)
     true_axis = sc.true_axis
     tc, _ = np.histogram(x, bins=true_axis.edges)
     mc, _ = np.histogram(y, bins=sc.meas_axis.edges)
@@ -291,13 +323,15 @@ class EnsembleStats:
     n_experiments: int
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    try:
-        return max(1, int(os.environ.get("UNFOLDER_THREADS", "1")))
-    except ValueError:
-        return 1
+def _worker_count(workers, n_experiments):
+    """Threads for `n_experiments` experiments: `workers`, else
+    UNFOLDER_THREADS, else 1; never more than the experiments or the CPUs."""
+    if workers is None:
+        try:
+            workers = int(os.environ.get("UNFOLDER_THREADS", "1"))
+        except ValueError:
+            workers = 1
+    return max(1, min(int(workers), n_experiments, os.cpu_count() or 1))
 
 
 def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
@@ -316,8 +350,9 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     bins).
 
     `workers` threads parallelize the sample generation (default from the
-    UNFOLDER_THREADS environment variable); results do not depend on the
-    worker count.
+    UNFOLDER_THREADS environment variable, clamped to the number of
+    experiments and of CPUs); results are bit-identical for any worker
+    count.
     """
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
@@ -328,18 +363,22 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     elif len(seeds) != n_experiments:
         raise ValueError("seeds length must equal n_experiments")
 
+    edges = sc.meas_axis.edges
+
     def measured_counts(seed):
+        # the draws of generate(), but only the measured side is binned
         rng = np.random.default_rng(seed)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        return _generate(sc, rng, max(n, 1)).measured.contents
+        _, y = _sample(sc, rng, max(n, 1))
+        return np.histogram(y, bins=edges)[0]
 
-    n_workers = _worker_count(workers)
+    n_workers = _worker_count(workers, n_experiments)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             counts = list(pool.map(measured_counts, seeds))
     else:
         counts = [measured_counts(seed) for seed in seeds]
-    g_matrix = np.vstack(counts)
+    g_matrix = np.vstack(counts, dtype=np.float64)
 
     first = Histogram.from_counts(sc.meas_axis, counts[0])
     order = run(R, first, policy).stopped_at

@@ -245,3 +245,34 @@ class TestFoldInvert:
         assert "sign alternation" in err and "truth peak" in err
         inv = uf.Histogram.load_json(tmp_path / "inv.json")
         assert inv.unfolded and np.any(inv.contents < 0)
+
+
+class TestUsageErrors:
+    def unfold(self, sim_dir, response_file, tmp_path, *extra):
+        return run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(response_file),
+                       "--out", str(tmp_path / "o.json"), *extra)
+
+    def test_non_integer_fixed_order_exits_2(self, sim_dir, response_file,
+                                             tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.unfold(sim_dir, response_file, tmp_path, "--stop", "fixed=2.7")
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.json").exists()
+
+    def test_negative_fixed_order_exits_2(self, sim_dir, response_file,
+                                          tmp_path, capsys):
+        assert self.unfold(sim_dir, response_file, tmp_path,
+                           "--stop", "fixed=-1") == 2
+        assert "order" in capsys.readouterr().err
+
+    def test_zero_max_iterations_exits_2(self, sim_dir, response_file,
+                                         tmp_path, capsys):
+        assert self.unfold(sim_dir, response_file, tmp_path, "--stop",
+                           "fixed=3", "--max-iterations", "0") == 2
+        assert "max_iterations" in capsys.readouterr().err
+
+    def test_threshold_outside_unit_interval_exits_2(self, sim_dir,
+                                                     response_file, tmp_path):
+        assert self.unfold(sim_dir, response_file, tmp_path,
+                           "--stop", "stat-frac=1.5") == 2

@@ -271,3 +271,16 @@ class TestSerialization:
         assert back[1, 1] != back[1, 1]  # NaN
         np.testing.assert_array_equal(back[[0, 2], 1], pairs[[0, 2], 1])
         assert "MISS" in path.read_text()
+
+    def test_pairs_csv_exact_text(self, tmp_path):
+        pairs = np.array([[0.1, -0.0], [-0.0, np.nan], [np.nan, 2.5],
+                          [np.inf, np.inf], [1e-300, -np.inf], [3.0, 1 / 3]])
+        path = tmp_path / "pairs.csv"
+        uf.write_pairs_csv(path, pairs)
+        assert path.read_text() == ("x,y\n"
+                                    "0.1,-0.0\n"
+                                    "-0.0,MISS\n"
+                                    "nan,2.5\n"
+                                    "inf,MISS\n"
+                                    "1e-300,MISS\n"
+                                    "3.0,0.3333333333333333\n")
