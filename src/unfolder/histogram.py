@@ -38,6 +38,8 @@ class Axis:
         e = np.asarray(edges, dtype=np.float64)
         if e.ndim != 1 or e.size < 2:
             raise ValueError(f"need at least two edges, got shape {e.shape}")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("edges must be finite")
         if not np.all(np.diff(e) > 0):
             raise ValueError("edges must be strictly increasing")
         self._edges = _frozen(e)
@@ -134,6 +136,8 @@ class Histogram:
         if c.shape != (axis.nbins,):
             raise DimensionError(
                 f"contents length {c.size} does not match {axis.nbins} bins")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("contents must be finite")
         if not unfolded and np.any(c < 0):
             raise ValueError("negative content is only allowed on unfolded estimates")
         self._axis = axis
@@ -150,6 +154,8 @@ class Histogram:
         e = np.asarray(err, dtype=np.float64)
         if e.shape != (axis.nbins,):
             raise DimensionError(f"{name} length {e.size} does not match {axis.nbins} bins")
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"{name} must be finite")
         if np.any(e < 0):
             raise ValueError(f"{name} must be non-negative")
         return _frozen(e)
@@ -236,7 +242,7 @@ class Histogram:
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
             fh.write("\n")
 
     @classmethod

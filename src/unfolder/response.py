@@ -30,6 +30,9 @@ DEFAULT_QUAD_POINTS = 8
 # kernel evaluations per chunk in from_kernel, to cap the broadcast size
 _CHUNK_BUDGET = 4_000_000
 
+# pairs binned per block in from_pairs, to keep the temporaries cache-sized
+_PAIR_BLOCK = 65_536
+
 
 def compute_k(matrix) -> float:
     """Normalization factor of a folding matrix: max column sum of AᵀA.
@@ -46,6 +49,8 @@ def compute_k(matrix) -> float:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"matrix must be 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     if np.any(a < 0):
         raise ValueError("matrix entries must be non-negative")
     col_sums = (a.T @ a).sum(axis=0)
@@ -83,6 +88,8 @@ class ResponseMatrix:
             raise DimensionError(
                 f"matrix shape {m.shape} does not match "
                 f"({meas_axis.nbins} measured x {true_axis.nbins} true) bins")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("response entries must be finite")
         if np.any(m < 0):
             raise ValueError("response entries must be non-negative")
         col_sums = m.sum(axis=0)
@@ -186,20 +193,18 @@ class ResponseMatrix:
         denominator only).  Entry (i, j) is the fraction of pairs from true
         bin j measured in bin i; pairs with x outside the true axis are
         ignored, pairs with y outside the measured axis reduce the column
-        sum exactly like unaccepted ones.
+        sum exactly like unaccepted ones.  Bins are left-closed and the last
+        one is closed on the right, as in ``np.histogram``; the pairs are
+        counted in fixed-size blocks, so the temporaries do not grow with n.
         """
         p = np.asarray(pairs, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise DimensionError(f"pairs must be an (n, 2) array, got shape {p.shape}")
         if p.shape[0] == 0:
             raise ConstructionError("empty pair sample")
-        x, y = p[:, 0], p[:, 1]
-        denom, _ = np.histogram(x, bins=true_axis.edges)
+        denom, num = _pair_counts(p, true_axis.edges, meas_axis.edges)
         if denom.sum() == 0:
             raise ConstructionError("no pair lands on the true axis")
-        accepted = np.isfinite(y)
-        num, _, _ = np.histogram2d(y[accepted], x[accepted],
-                                   bins=(meas_axis.edges, true_axis.edges))
         matrix = num / np.maximum(denom, 1)[None, :]
         # the exact count ratios sum to <= 1 per column; keep that exact in
         # floating point too
@@ -290,13 +295,81 @@ class ResponseMatrix:
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(self.to_dict(), fh, allow_nan=False)
             fh.write("\n")
 
     @classmethod
     def load_json(cls, path) -> "ResponseMatrix":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _uniform_scale(edges):
+    """``n / (hi - lo)`` when `edges` are ``np.linspace(lo, hi, n + 1)``
+    (what :meth:`Axis.uniform` builds) and the guess
+    ``floor((v - lo) * n / (hi - lo))`` is within one bin of the true bin
+    for every v on the axis; None otherwise.
+
+    The rounding in the guess and in linspace's edges is a few ulps of the
+    span and of the largest |edge|; with 128 of those inside one bin the
+    guess is off by a small fraction of a bin at most.
+    """
+    n = edges.size - 1
+    lo, hi = float(edges[0]), float(edges[-1])
+    width = (hi - lo) / n
+    if not (math.isfinite(width) and width >= np.finfo(np.float64).tiny):
+        return None
+    if 128 * np.finfo(np.float64).eps * max(abs(lo), abs(hi), hi - lo) > width:
+        return None
+    if not np.array_equal(edges, np.linspace(lo, hi, n + 1)):
+        return None
+    return n / (hi - lo)
+
+
+def _bin_index(v, edges, scale):
+    """1 + the bin of each value, or 0 for NaN, ±inf and values off the
+    axis; bins are left-closed and the last one is closed on the right, as
+    in ``np.histogram``.  `scale` comes from :func:`_uniform_scale`."""
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    if scale is None:
+        idx = np.searchsorted(edges, v, side="right")  # NaN sorts last
+        idx -= v == hi
+        idx *= idx <= n
+        return idx
+    # clamp onto the axis (NaN goes to lo), guess, correct by one bin
+    c = np.fmax(v, lo)
+    np.fmin(c, hi, out=c)
+    idx = ((c - lo) * scale).astype(np.intp)
+    np.minimum(idx, n - 1, out=idx)
+    idx -= c < edges[idx]
+    idx += (c >= edges[1:][idx]) & (idx < n - 1)
+    idx += 1
+    idx *= (v >= lo) & (v <= hi)
+    return idx
+
+
+def _pair_counts(pairs, x_edges, y_edges):
+    """Pairs per true bin and per (measured, true) bin of an (n, 2) array.
+
+    The counts of ``np.histogram(x, x_edges)`` and of
+    ``np.histogram2d(y, x, (y_edges, x_edges))`` over the finite-y pairs,
+    taken _PAIR_BLOCK rows at a time.
+    """
+    nx, ny = x_edges.size - 1, y_edges.size - 1
+    x_scale, y_scale = _uniform_scale(x_edges), _uniform_scale(y_edges)
+    denom = np.zeros(nx + 1, dtype=np.intp)
+    num = np.zeros((ny + 1) * (nx + 1), dtype=np.intp)
+    for start in range(0, pairs.shape[0], _PAIR_BLOCK):
+        block = pairs[start:start + _PAIR_BLOCK]
+        ix = _bin_index(block[:, 0], x_edges, x_scale)
+        iy = _bin_index(block[:, 1], y_edges, y_scale)
+        denom += np.bincount(ix, minlength=nx + 1)
+        iy *= nx + 1
+        iy += ix
+        num += np.bincount(iy, minlength=num.size)
+    # index 0 on either axis collects the pairs off that axis
+    return denom[1:], num.reshape(ny + 1, nx + 1)[1:, 1:]
 
 
 def write_pairs_csv(path, pairs):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .histogram import Axis, Histogram, rebin_axes
 from .response import ResponseMatrix
-from .unfold import StoppingPolicy, run
+from .unfold import StoppingPolicy, init, run, step
 
 
 def _gauss_cdf(z):
@@ -257,7 +257,7 @@ class Scenario:
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
             fh.write("\n")
 
     @classmethod
@@ -344,7 +344,10 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     sequence is given).  The stopping policy is resolved once, on the first
     experiment, and every experiment is then evaluated at that fixed order
     so the ensemble spread is directly comparable with the propagated
-    covariance.  With `poisson_total` the sample size of each experiment
+    covariance.  The estimate at that order is linear in the counts,
+    ``f_N = B_N g``, so the ensemble's mean and covariance are those of the
+    counts mapped through ``B_N``; no experiment is iterated on its own.
+    With `poisson_total` the sample size of each experiment
     fluctuates as Poisson(entries), which makes the bin contents exactly
     independent Poisson variates; otherwise the total is fixed (multinomial
     bins).
@@ -383,16 +386,19 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     first = Histogram.from_counts(sc.meas_axis, counts[0])
     order = run(R, first, policy).stopped_at
 
-    # batched content-only iteration: one row per experiment
-    a = R.matrix
-    f0 = g_matrix @ (a / R.k_factor)          # rows of K⁻¹Aᵀg
-    im = np.eye(a.shape[1]) - (a.T @ a) / R.k_factor  # symmetric
-    f = f0.copy()
+    # f_N = B_N g is linear in g, and B_N is the e_n of the covariance
+    # recursion started from the identity: propagate the moments of g
+    state = init(R, first, covariance=np.eye(sc.meas_axis.nbins))
     for _ in range(order):
-        f = f @ im + f0
+        state = step(state)
+    b = state.e_n
+    mean_g = g_matrix.mean(axis=0)
+    d = g_matrix - mean_g
+    # einsum, not BLAS: no threaded product that grows with n_experiments
+    cov_g = np.einsum("ki,kj->ij", d, d) / (n_experiments - 1)
     return EnsembleStats(
         order=order,
-        mean=f.mean(axis=0),
-        covariance=np.cov(f, rowvar=False),
+        mean=b @ mean_g,
+        covariance=b @ cov_g @ b.T,
         n_experiments=n_experiments,
     )

@@ -276,3 +276,35 @@ class TestUsageErrors:
                                                      response_file, tmp_path):
         assert self.unfold(sim_dir, response_file, tmp_path,
                            "--stop", "stat-frac=1.5") == 2
+
+
+class TestNonFiniteInput:
+    def test_nan_in_measured_exits_3(self, sim_dir, response_file, tmp_path,
+                                     capsys):
+        d = json.loads((sim_dir / "measured.json").read_text())
+        d["contents"][50] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("unfold", "--measured", str(path),
+                       "--response", str(response_file), "--stop", "fixed=3",
+                       "--out", str(tmp_path / "o.json")) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_infinite_stat_err_exits_3(self, sim_dir, response_file, tmp_path):
+        d = json.loads((sim_dir / "measured.json").read_text())
+        d["stat_err"][0] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("unfold", "--measured", str(path),
+                       "--response", str(response_file), "--stop", "fixed=3",
+                       "--out", str(tmp_path / "o.json")) == 3
+
+    def test_nan_in_response_exits_3(self, sim_dir, response_file, tmp_path):
+        d = json.loads(response_file.read_text())
+        d["matrix"][3][4] = float("nan")
+        path = tmp_path / "R.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(path), "--stop", "fixed=3",
+                       "--out", str(tmp_path / "o.json")) == 3
