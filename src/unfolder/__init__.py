@@ -15,20 +15,10 @@ Main entry points:
 * :func:`run` with a :class:`StoppingPolicy` - the unfolding itself;
 * :func:`naive_invert` - the unregularized baseline for comparison;
 * :mod:`unfolder.simulate` - synthetic scenarios and pseudo-experiments.
-"""
 
-from .baseline import condition_number, kernel_projection, kernel_projector, naive_invert
-from .errors import (ConfigError, ConstructionError, DecompositionError,
-                     DegenerateOperatorError, DimensionError, InvalidKernelError,
-                     NormalizationError, NumericalFailureError, UnfoldingError)
-from .histogram import Axis, Histogram, l1_distance, normalize, rebin_axes
-from .response import ResponseMatrix, compute_k, read_pairs_csv, write_pairs_csv
-from .simulate import (CalorimeterSmearing, CauchyTruth, EnsembleStats,
-                       GaussianSmearing, GaussianTruth, GenerateResult,
-                       PowerlawTruth, Scenario, generate, pseudo_experiments)
-from .unfold import (ErrorBudget, IterateState, StoppingPolicy, UnfoldResult,
-                     bias_bound, covariance_sqrt, harmonic_number, init,
-                     l2_density_norm, run, stat_summary, step, syst_bound)
+Public names are resolved on first use (PEP 562), so ``import unfolder``
+does not load numpy until one of them is needed.
+"""
 
 __version__ = "0.1.0"
 
@@ -47,3 +37,32 @@ __all__ = [
     "DecompositionError", "NumericalFailureError", "ConfigError",
     "__version__",
 ]
+
+
+def _public_names():
+    from .baseline import condition_number, kernel_projection, kernel_projector, naive_invert
+    from .errors import (ConfigError, ConstructionError, DecompositionError,
+                         DegenerateOperatorError, DimensionError, InvalidKernelError,
+                         NormalizationError, NumericalFailureError, UnfoldingError)
+    from .histogram import Axis, Histogram, l1_distance, normalize, rebin_axes
+    from .response import ResponseMatrix, compute_k, read_pairs_csv, write_pairs_csv
+    from .simulate import (CalorimeterSmearing, CauchyTruth, EnsembleStats,
+                           GaussianSmearing, GaussianTruth, GenerateResult,
+                           PowerlawTruth, Scenario, generate, pseudo_experiments)
+    from .unfold import (ErrorBudget, IterateState, StoppingPolicy, UnfoldResult,
+                         bias_bound, covariance_sqrt, harmonic_number, init,
+                         l2_density_norm, run, stat_summary, step, syst_bound)
+    return locals()
+
+
+def __getattr__(name):
+    # runs once: afterwards every public name is a module global, which
+    # attribute lookup finds before it falls back to this hook
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals().update(_public_names())
+    return globals()[name]
+
+
+def __dir__():
+    return __all__

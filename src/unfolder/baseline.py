@@ -32,14 +32,18 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
     """
     if g.axis != R.meas_axis:
         raise DimensionError("measured histogram is not on the response's measured axis")
-    a = R.matrix
-    singular = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(singular > RANK_CUTOFF * singular[0]))
+    # one factorisation for the rank and the pseudo-inverse; the latter is
+    # np.linalg.pinv(a, rcond=RANK_CUTOFF) step for step, so bit-identical
+    u, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
+    large = s > RANK_CUTOFF * np.max(s)
+    rank = int(np.count_nonzero(large))
     if rank < R.true_axis.nbins:
         warnings.warn(
             f"response rank {rank} < {R.true_axis.nbins} true bins; "
             "returning the minimum-norm solution", RuntimeWarning)
-    pinv = np.linalg.pinv(a, rcond=RANK_CUTOFF)
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = vt.T @ (s[:, None] * u.T)
     f = pinv @ g.contents
     stat = None
     if g.stat_err is not None:

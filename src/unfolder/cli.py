@@ -16,9 +16,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+# After numpy loads, and after every threaded BLAS call, OpenBLAS's helper
+# thread busy-waits for 2^28 cycles before it sleeps.  A CLI command does a
+# few tens of milliseconds of work, so that spin was more than a third of
+# its CPU time.  2^4 cycles (OpenBLAS's minimum) lets the helper sleep at
+# once; the thread count and the work partitioning, and so the output
+# bytes, stay the same.  OpenBLAS reads the variable only when it loads, so
+# it is set before numpy is imported, and only then; a user's value wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -382,16 +383,25 @@ def write_pairs_csv(path, pairs):
 
 
 def read_pairs_csv(path) -> np.ndarray:
-    """Read an (n, 2) pair array; the MISS token becomes NaN."""
-    xs, ys = [], []
+    """Read an (n, 2) pair array; the MISS token becomes NaN.
+
+    Blank lines and header lines (first field ``x``, in any case) are
+    skipped; every value is ``float()`` of its field, so a written array
+    reads back bit for bit.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = (tok.strip() for tok in line.split(","))
-            if a.lower() == "x":  # header
-                continue
-            xs.append(float(a))
-            ys.append(np.nan if b.upper() == "MISS" else float(b))
-    return np.column_stack([np.asarray(xs), np.asarray(ys)])
+        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
+    if not lines:
+        return np.empty((0, 2))
+    if set(map(str.count, lines, repeat(","))) != {1}:
+        bad = next(line for line in lines if line.count(",") != 1)
+        raise ValueError(f"expected 2 comma-separated fields, got {bad!r}")
+    fields = list(map(str.strip, ",".join(lines).split(",")))
+    xs, ys = fields[0::2], fields[1::2]
+    body = list(map("x".__ne__, map(str.lower, xs)))
+    xs, ys = list(compress(xs, body)), list(compress(ys, body))
+    # the MISS token, in any case, reads as "nan"; every other field as itself
+    ys = map({"MISS": "nan"}.get, map(str.upper, ys), ys)
+    x = np.fromiter(map(float, xs), dtype=np.float64, count=len(xs))
+    y = np.fromiter(map(float, ys), dtype=np.float64, count=len(xs))
+    return np.column_stack([x, y])

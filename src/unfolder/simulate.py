@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +179,19 @@ _SMEARING_TYPES = {
 }
 
 
+def _require_finite(*components):
+    """Reject a NaN or infinite parameter of a bundled truth or smearing
+    model before anything is drawn: it would make every drawn value NaN
+    without an error.  Components of other types are not inspected."""
+    for component in components:
+        for klass, params in (*_TRUTH_TYPES.values(), *_SMEARING_TYPES.values()):
+            if isinstance(component, klass):
+                for name in params:
+                    value = getattr(component, name)
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one synthetic measurement."""
@@ -234,7 +246,9 @@ class Scenario:
                     field=f"{where}.type")
             klass, fields = table[kind]
             try:
-                return klass(**{f: need(entry, f, where) for f in fields})
+                component = klass(**{f: need(entry, f, where) for f in fields})
+                _require_finite(component)
+                return component
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
 
@@ -309,6 +323,7 @@ def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
 
 def generate(sc: Scenario) -> GenerateResult:
     """Draw the scenario's sample; bitwise reproducible for a fixed seed."""
+    _require_finite(sc.truth, sc.smearing)
     return _generate(sc, np.random.default_rng(sc.seed), sc.entries)
 
 
@@ -359,6 +374,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     """
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
+    _require_finite(sc.truth, sc.smearing)
     if R.meas_axis != sc.meas_axis:
         raise DimensionError("response measured axis does not match the scenario")
     if seeds is None:
@@ -377,6 +393,9 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
 
     n_workers = _worker_count(workers, n_experiments)
     if n_workers > 1:
+        # imported here: concurrent.futures costs every fresh interpreter
+        # about 20 ms, and nothing else needs it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             counts = list(pool.map(measured_counts, seeds))
     else:

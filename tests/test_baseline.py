@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder.baseline import RANK_CUTOFF
 
 from _oracles import random_response_matrix
 
@@ -106,3 +108,37 @@ class TestConditionNumber:
         cond = uf.condition_number(rm)
         assert cond > 1e3
         assert cond == pytest.approx(2.8408e8, rel=1e-3)
+
+
+class TestSingleFactorisation:
+    """naive_invert factorises once; its pseudo-inverse must still be
+    np.linalg.pinv's to the bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_deficient", "near_cutoff"])
+    def test_matches_pinv_exactly(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        ny, nx = rng.integers(2, 40, 2)
+        a = random_response_matrix(rng, nx, ny)
+        if kind == "rank_deficient":
+            k = int(rng.integers(1, min(nx, ny)))
+            a = random_response_matrix(rng, k, ny) @ random_response_matrix(rng, nx, k)
+        elif kind == "near_cutoff":
+            # one singular value about 1e-13 of the largest: below the cutoff,
+            # but far above rounding, so the cutoff decides the result
+            ny = max(nx, ny)
+            a = random_response_matrix(rng, nx, ny)
+            a[:, 0] *= 3e-13
+        rm = response_of(a)
+        g = uf.Histogram(rm.meas_axis, rng.uniform(0.0, 100.0, ny),
+                         stat_err=rng.uniform(0.5, 10.0, ny))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = uf.naive_invert(rm, g)
+        pinv = np.linalg.pinv(a, rcond=RANK_CUTOFF)
+        assert np.array_equal(out.contents, pinv @ g.contents)
+        assert np.array_equal(out.stat_err,
+                              np.sqrt((pinv ** 2) @ (g.stat_err ** 2)))
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = int(np.sum(s > RANK_CUTOFF * s[0]))
+        assert (rank < nx) == any("rank" in str(w.message) for w in caught)

@@ -308,3 +308,19 @@ class TestNonFiniteInput:
         assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
                        "--response", str(path), "--stop", "fixed=3",
                        "--out", str(tmp_path / "o.json")) == 3
+
+
+class TestNonFiniteScenario:
+    def test_nan_mean_config_exits_2(self, tmp_path, capsys):
+        # json reads the NaN token; before it was refused, 100 entries were
+        # drawn as NaN and simulate exited 0 with an empty measured histogram
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"truth": {"type": "gaussian", "mean": NaN, "sigma": 1.0},'
+            ' "smearing": {"type": "gaussian_convolution", "sigma": 1.0},'
+            ' "entries": 100, "seed": 1,'
+            ' "meas_axis": {"low": -5.0, "high": 5.0, "nbins": 10}}')
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "mean must be finite" in err and "field: truth" in err
+        assert not (tmp_path / "o" / "measured.json").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unfolder as uf
 from unfolder.errors import (ConstructionError, DegenerateOperatorError,
@@ -284,3 +286,85 @@ class TestSerialization:
                                     "inf,MISS\n"
                                     "1e-300,MISS\n"
                                     "3.0,0.3333333333333333\n")
+
+
+def read_pairs_reference(text):
+    """The per-line parse that read_pairs_csv must reproduce bit for bit."""
+    xs, ys = [], []
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        a, b = (tok.strip() for tok in line.split(","))
+        if a.lower() == "x":
+            continue
+        xs.append(float(a))
+        ys.append(math.nan if b.upper() == "MISS" else float(b))
+    return np.column_stack([np.asarray(xs, dtype=np.float64),
+                            np.asarray(ys, dtype=np.float64)])
+
+
+def same_bits(a, b):
+    """Equal shapes and values, with NaN equal to NaN (of either sign: the
+    writer keeps no NaN sign) and -0.0 apart from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~np.isnan(a),
+                               np.signbit(b) & ~np.isnan(b)))
+
+
+class TestPairsCsvParsing:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, 0.1, 1 / 3, 2 / 3, 123456.78901234567,
+               -9.8765432109876543e-5, 1e22, 1e23]
+
+    def test_roundtrip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([self.SPECIAL, [np.nan, np.inf, -np.inf],
+                            rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+        y = np.concatenate([self.SPECIAL[::-1], [np.nan, 0.5, np.nan],
+                            rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+        pairs = np.column_stack([x, y])
+        path = tmp_path / "pairs.csv"
+        uf.write_pairs_csv(path, pairs)
+        assert same_bits(uf.read_pairs_csv(path), pairs)
+
+    @given(st.lists(st.tuples(st.floats(allow_subnormal=True),
+                              st.floats(allow_infinity=False)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, tmp_path_factory, rows):
+        pairs = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        uf.write_pairs_csv(path, pairs)
+        assert same_bits(uf.read_pairs_csv(path), pairs)
+
+    def test_same_values_as_per_line_parse(self, tmp_path):
+        text = ("X , Y\n\n  0.5,0.25\r\n1e-320 , miss\n\t-0.0,Miss\n"
+                "nan, 1_000.5\nx,y\n  \n-inf,  -7.000000000000001e-310  \n"
+                "3,MISS\n+4.5,-0\n\n")
+        path = tmp_path / "pairs.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = read_pairs_reference(path.read_text(encoding="utf-8"))
+        back = uf.read_pairs_csv(path)
+        assert back.shape == (7, 2)
+        assert same_bits(back, expected)
+
+    @pytest.mark.parametrize("text", ["x,y\n", "", "\n\n", "X,y\n\n"])
+    def test_no_rows(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        back = uf.read_pairs_csv(path)
+        assert back.shape == (0, 2) and back.dtype == np.float64
+
+    @pytest.mark.parametrize("line", ["1.0", "1.0,2.0,3.0", "MISS,1.0",
+                                      "miss,1.0", "abc,1.0", "1.0,", "1.0,abc",
+                                      ",", "1.0;2.0",
+                                      # one field short, one too many: the
+                                      # fields still pair up across the lines
+                                      "1.0\n2.0,3.0,4.0"])
+    def test_malformed_row_raises(self, tmp_path, line):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"x,y\n0.5,0.5\n{line}\n1.5,1.5\n")
+        with pytest.raises(ValueError):
+            read_pairs_reference(path.read_text())
+        with pytest.raises(ValueError):
+            uf.read_pairs_csv(path)

@@ -83,3 +83,67 @@ class TestJsonWriters:
         rm = uf.ResponseMatrix(AXIS, AXIS, np.eye(3) / 3)
         rm.save_json(tmp_path / "R.json")
         assert (tmp_path / "R.json").read_text() == json.dumps(rm.to_dict()) + "\n"
+
+
+def scenario_dict(truth, smearing):
+    return {"truth": truth, "smearing": smearing, "entries": 100, "seed": 1,
+            "meas_axis": AXIS.to_dict()}
+
+
+GAUSS_SMEARING = {"type": "gaussian_convolution", "sigma": 1.0}
+CAUCHY_TRUTH = {"type": "cauchy", "location": 0.0, "scale": 1.0}
+
+
+class TestNonFiniteScenarioParameters:
+    """A NaN or infinite model parameter would make every drawn value NaN;
+    it is refused by Scenario.from_dict (ConfigError, CLI exit 2) and by
+    generate and pseudo_experiments (ValueError)."""
+
+    def check(self, component, table_entry, side):
+        truth, smearing = ((table_entry, GAUSS_SMEARING) if side == "truth"
+                           else (CAUCHY_TRUTH, table_entry))
+        with pytest.raises(uf.ConfigError, match="finite") as exc:
+            uf.Scenario.from_dict(scenario_dict(truth, smearing))
+        assert exc.value.field == side
+        kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
+                  side: component}
+        sc = uf.Scenario(entries=100, seed=1, meas_axis=AXIS, **kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            uf.generate(sc)
+        with pytest.raises(ValueError, match="finite"):
+            uf.pseudo_experiments(sc, 2, uf.ResponseMatrix(AXIS, AXIS, np.eye(3)),
+                                  uf.StoppingPolicy.fixed(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_truth(self, bad):
+        self.check(uf.GaussianTruth(mean=bad),
+                   {"type": "gaussian", "mean": bad, "sigma": 1.0}, "truth")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cauchy_truth(self, bad):
+        self.check(uf.CauchyTruth(scale=bad),
+                   {"type": "cauchy", "location": 0.0, "scale": bad}, "truth")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_powerlaw_truth(self, bad):
+        self.check(uf.PowerlawTruth(exponent=bad),
+                   {"type": "powerlaw_spectrum", "exponent": bad,
+                    "scale_energy": 1.0}, "truth")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gaussian_smearing(self, bad):
+        self.check(uf.GaussianSmearing(bad),
+                   {"type": "gaussian_convolution", "sigma": bad}, "smearing")
+
+    @pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, np.nan),
+                                      (np.nan, 0.05)])
+    def test_calorimeter_smearing(self, a, b):
+        self.check(uf.CalorimeterSmearing(a, b),
+                   {"type": "calorimeter", "stochastic_a": a, "constant_b": b},
+                   "smearing")
+
+    def test_finite_parameters_draw_as_before(self):
+        sc = uf.Scenario.from_dict(scenario_dict(
+            {"type": "gaussian", "mean": 1.5, "sigma": 0.5},
+            {"type": "calorimeter", "stochastic_a": 0.5, "constant_b": 0.01}))
+        assert np.isfinite(uf.generate(sc).pairs).all()
