@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 inconsistent data,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import resources
@@ -35,8 +34,7 @@ import numpy as np
 
 from .baseline import naive_invert
 from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
-                     DimensionError, NormalizationError, NumericalFailureError,
-                     UnfoldingError)
+                     NumericalFailureError, UnfoldingError)
 from .histogram import Axis, Histogram, l1_distance, rebin_axes
 from .response import ResponseMatrix, read_pairs_csv, write_pairs_csv
 from .simulate import GaussianSmearing, Scenario, generate
@@ -83,11 +81,9 @@ def _stop_arg(text):
 def _policy(stop, max_iterations):
     rule, value = stop
     try:
-        if rule == "fixed":
-            return StoppingPolicy.fixed(value, max_iterations=max_iterations)
-        if rule == "stat_fraction":
-            return StoppingPolicy.stat_fraction(value, max_iterations=max_iterations)
-        return StoppingPolicy.min_total(max_iterations=max_iterations)
+        return StoppingPolicy(rule, order=value if rule == "fixed" else None,
+                              threshold=value if rule == "stat_fraction" else None,
+                              max_iterations=max_iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -105,8 +101,6 @@ def _resolve_config(path):
 
 def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
-        if args.kernel != "gauss":
-            raise ConfigError(f"unsupported kernel '{args.kernel}'", field="kernel")
         if args.sigma is None or args.sigma <= 0:
             raise ConfigError("--kernel gauss requires --sigma > 0", field="sigma")
         return ResponseMatrix.from_kernel(
@@ -224,8 +218,8 @@ def _parser():
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
-    def add_source(sp, require=True):
-        grp = sp.add_mutually_exclusive_group(required=require)
+    def add_source(sp):
+        grp = sp.add_mutually_exclusive_group(required=True)
         grp.add_argument("--kernel", choices=["gauss"],
                          help="analytic response kernel")
         grp.add_argument("--pairs", help="CSV of (true, measured) pairs")
@@ -245,8 +239,8 @@ def _parser():
 
     unf = sub.add_parser("unfold", help="run the iterative unfolding")
     unf.add_argument("--measured", required=True)
-    unf.add_argument("--response", help="response JSON (alternative to --kernel/--pairs)")
-    add_source(unf, require=False)
+    add_source(unf).add_argument(
+        "--response", help="response JSON (alternative to --kernel/--pairs)")
     unf.add_argument("--rebin", type=_rebin_arg, metavar="EXT,REF",
                      help="derive an extended/refined true axis "
                           "(only with --kernel or --pairs)")
@@ -277,11 +271,7 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "unfold" and args.response is None \
-            and args.kernel is None and args.pairs is None:
-        parser.error("unfold needs --response, --kernel or --pairs")
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -292,13 +282,9 @@ def main(argv=None) -> int:
             DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DimensionError, NormalizationError, UnfoldingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (UnfoldingError, FileNotFoundError, ValueError, KeyError) as exc:
+        # UnfoldingError covers DimensionError and NormalizationError, and
+        # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

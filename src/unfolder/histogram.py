@@ -9,12 +9,24 @@ a new object, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, NormalizationError
 
 KINDS = ("counts", "mass", "density")
+
+
+def _save_json(path, d, indent=None):
+    """Write `d` as one JSON text and a newline; NaN and infinity raise
+    ValueError before the file is opened."""
+    text = json.dumps(d, indent=indent, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _load_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _frozen(values, dtype=np.float64):
@@ -92,7 +104,7 @@ class Axis:
         return f"Axis({self.nbins} bins on [{self.low:g}, {self.high:g}])"
 
     def to_dict(self) -> dict:
-        return {"edges": [float(v) for v in self._edges]}
+        return {"edges": self._edges.tolist()}
 
     @classmethod
     def from_dict(cls, d) -> "Axis":
@@ -219,12 +231,12 @@ class Histogram:
     def to_dict(self) -> dict:
         d = {
             "axis": self._axis.to_dict(),
-            "contents": [float(v) for v in self._contents],
+            "contents": self._contents.tolist(),
         }
         if self._stat_err is not None:
-            d["stat_err"] = [float(v) for v in self._stat_err]
+            d["stat_err"] = self._stat_err.tolist()
         if self._syst_err is not None:
-            d["syst_err"] = [float(v) for v in self._syst_err]
+            d["syst_err"] = self._syst_err.tolist()
         d["kind"] = self._kind
         d["unfolded"] = self._unfolded
         return d
@@ -241,14 +253,11 @@ class Histogram:
         )
 
     def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        _save_json(path, self.to_dict(), indent=1)
 
     @classmethod
     def load_json(cls, path) -> "Histogram":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
     def to_csv(self, path):
         """One row per bin: low_edge, high_edge, content, stat_err, syst_err.

@@ -13,8 +13,8 @@ its spectral radius from above for non-negative matrices.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import warnings
 from itertools import compress, repeat
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ConstructionError, DegenerateOperatorError,
                      DimensionError, InvalidKernelError)
-from .histogram import Axis, Histogram
+from .histogram import Axis, Histogram, _load_json, _save_json
 
 COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
@@ -76,9 +76,10 @@ class ResponseMatrix:
         Shape ``(meas_axis.nbins, true_axis.nbins)``; non-negative entries,
         column sums at most 1.
     k_override : float or None
-        Replaces the computed normalization factor.  Must not be smaller
-        than the computed one, or the iteration would no longer contract;
-        useful to reproduce runs with an analytically known factor.
+        Replaces the computed normalization factor.  Must be a finite
+        number not smaller than the computed one, or the iteration would no
+        longer contract; useful to reproduce runs with an analytically
+        known factor.
     """
 
     __slots__ = ("_true_axis", "_meas_axis", "_matrix", "_k", "_zero_columns")
@@ -101,6 +102,9 @@ class ResponseMatrix:
                 "must be migration probabilities")
         k = compute_k(m)
         if k_override is not None:
+            if not (isinstance(k_override, numbers.Real) and math.isfinite(k_override)):
+                raise ValueError(
+                    f"k_override must be a finite number, got {k_override!r}")
             if k_override < k * (1.0 - 1e-12):
                 raise ValueError(
                     f"k_override {k_override} is below the computed factor {k}; "
@@ -278,7 +282,7 @@ class ResponseMatrix:
         return {
             "true_axis": self._true_axis.to_dict(),
             "meas_axis": self._meas_axis.to_dict(),
-            "matrix": [[float(v) for v in row] for row in self._matrix],
+            "matrix": self._matrix.tolist(),
             "k_factor": self._k,
         }
 
@@ -287,22 +291,20 @@ class ResponseMatrix:
         true_axis = Axis.from_dict(d["true_axis"])
         meas_axis = Axis.from_dict(d["meas_axis"])
         matrix = np.asarray(d["matrix"], dtype=np.float64)
-        stored = d.get("k_factor")
-        computed = compute_k(matrix)
-        override = None
-        if stored is not None and stored > computed * (1.0 + 1e-12):
-            override = stored
+        # a stored factor within rounding of the computed one is dropped;
+        # a larger or non-finite one goes on to the constructor's checks
+        override = d.get("k_factor")
+        if isinstance(override, numbers.Real) and \
+                override <= compute_k(matrix) * (1.0 + 1e-12):
+            override = None
         return cls(true_axis, meas_axis, matrix, k_override=override)
 
     def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, allow_nan=False)
-            fh.write("\n")
+        _save_json(path, self.to_dict())
 
     @classmethod
     def load_json(cls, path) -> "ResponseMatrix":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
 
 def _uniform_scale(edges):

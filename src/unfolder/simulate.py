@@ -9,15 +9,14 @@ times to validate the propagated covariance empirically.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .histogram import Axis, Histogram, rebin_axes
+from .histogram import Axis, Histogram, _load_json, _save_json, rebin_axes
 from .response import ResponseMatrix
 from .unfold import StoppingPolicy, init, run, step
 
@@ -29,13 +28,27 @@ def _gauss_cdf(z):
 
 
 @dataclass(frozen=True)
-class CauchyTruth:
+class _Model:
+    """Base of the truth and smearing models.  A NaN or infinite parameter
+    would make every drawn value NaN without an error, so it is refused
+    here; `_check` then validates the model's own ranges."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        self._check()
+
+
+@dataclass(frozen=True)
+class CauchyTruth(_Model):
     """Cauchy distribution; heavy tails, no moments."""
 
     location: float = 0.0
     scale: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -55,11 +68,11 @@ class CauchyTruth:
 
 
 @dataclass(frozen=True)
-class GaussianTruth:
+class GaussianTruth(_Model):
     mean: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -71,7 +84,7 @@ class GaussianTruth:
 
 
 @dataclass(frozen=True)
-class PowerlawTruth:
+class PowerlawTruth(_Model):
     """Falling energy spectrum: power-law tail with a soft core.
 
     Density ``(n-1)/(n*T) * (1 + E/(n*T))**(-n)`` on E >= 0 with
@@ -82,7 +95,7 @@ class PowerlawTruth:
     exponent: float = 3.0
     scale_energy: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.exponent <= 1:
             raise ValueError("exponent must exceed 1")
         if self.scale_energy <= 0:
@@ -107,12 +120,12 @@ class PowerlawTruth:
 
 
 @dataclass(frozen=True)
-class GaussianSmearing:
+class GaussianSmearing(_Model):
     """Additive Gaussian noise: y = x + N(0, sigma)."""
 
     sigma: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
@@ -133,7 +146,7 @@ class GaussianSmearing:
 
 
 @dataclass(frozen=True)
-class CalorimeterSmearing:
+class CalorimeterSmearing(_Model):
     """Relative Gaussian energy resolution, truncated at zero.
 
     ``y = x * (1 + N(0, 1) * sqrt(a^2/x + b^2))`` clipped to y >= 0, the
@@ -144,7 +157,7 @@ class CalorimeterSmearing:
     stochastic_a: float = 1.15
     constant_b: float = 0.055
 
-    def __post_init__(self):
+    def _check(self):
         if self.stochastic_a < 0 or self.constant_b < 0:
             raise ValueError("resolution terms must be non-negative")
 
@@ -168,28 +181,10 @@ class CalorimeterSmearing:
         return np.maximum(y, 0.0, out=y)
 
 
-_TRUTH_TYPES = {
-    "cauchy": (CauchyTruth, ("location", "scale")),
-    "gaussian": (GaussianTruth, ("mean", "sigma")),
-    "powerlaw_spectrum": (PowerlawTruth, ("exponent", "scale_energy")),
-}
-_SMEARING_TYPES = {
-    "gaussian_convolution": (GaussianSmearing, ("sigma",)),
-    "calorimeter": (CalorimeterSmearing, ("stochastic_a", "constant_b")),
-}
-
-
-def _require_finite(*components):
-    """Reject a NaN or infinite parameter of a bundled truth or smearing
-    model before anything is drawn: it would make every drawn value NaN
-    without an error.  Components of other types are not inspected."""
-    for component in components:
-        for klass, params in (*_TRUTH_TYPES.values(), *_SMEARING_TYPES.values()):
-            if isinstance(component, klass):
-                for name in params:
-                    value = getattr(component, name)
-                    if not math.isfinite(value):
-                        raise ValueError(f"{name} must be finite, got {value!r}")
+_TRUTH_TYPES = {"cauchy": CauchyTruth, "gaussian": GaussianTruth,
+                "powerlaw_spectrum": PowerlawTruth}
+_SMEARING_TYPES = {"gaussian_convolution": GaussianSmearing,
+                   "calorimeter": CalorimeterSmearing}
 
 
 @dataclass(frozen=True)
@@ -213,10 +208,10 @@ class Scenario:
 
     def to_dict(self) -> dict:
         def tagged(obj, table):
-            for name, (klass, fields) in table.items():
+            for name, klass in table.items():
                 if isinstance(obj, klass):
                     d = {"type": name}
-                    d.update({f: getattr(obj, f) for f in fields})
+                    d.update({f.name: getattr(obj, f.name) for f in fields(klass)})
                     return d
             raise ValueError(f"unknown component {obj!r}")
 
@@ -244,11 +239,10 @@ class Scenario:
                 raise ConfigError(
                     f"unknown {where} type '{kind}' (choices: {sorted(table)})",
                     field=f"{where}.type")
-            klass, fields = table[kind]
+            klass = table[kind]
             try:
-                component = klass(**{f: need(entry, f, where) for f in fields})
-                _require_finite(component)
-                return component
+                return klass(**{f.name: need(entry, f.name, where)
+                                for f in fields(klass)})
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
 
@@ -270,14 +264,11 @@ class Scenario:
             raise ConfigError(str(exc), field=None) from exc
 
     def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        _save_json(path, self.to_dict(), indent=1)
 
     @classmethod
     def load_json(cls, path) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_load_json(path))
 
 
 @dataclass(frozen=True)
@@ -323,7 +314,6 @@ def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
 
 def generate(sc: Scenario) -> GenerateResult:
     """Draw the scenario's sample; bitwise reproducible for a fixed seed."""
-    _require_finite(sc.truth, sc.smearing)
     return _generate(sc, np.random.default_rng(sc.seed), sc.entries)
 
 
@@ -374,7 +364,6 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     """
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
-    _require_finite(sc.truth, sc.smearing)
     if R.meas_axis != sc.meas_axis:
         raise DimensionError("response measured axis does not match the scenario")
     if seeds is None:

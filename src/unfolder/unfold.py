@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -40,9 +41,24 @@ DEFAULT_MAX_ITERATIONS = 10000
 MIN_TOTAL_PATIENCE = 10
 
 
+def _harmonic_numbers():
+    """H_1, H_2, ... as a Kahan-compensated running sum; up to H_10001 each
+    is the correctly rounded ``math.fsum`` of its terms."""
+    h = c = 0.0
+    k = 0
+    while True:
+        k += 1
+        t = 1.0 / k - c
+        new = h + t
+        c = (new - h) - t
+        h = new
+        yield h
+
+
 def harmonic_number(m: int) -> float:
-    """H_m = sum_{k=1..m} 1/k, exactly as a compensated sum; H_0 = 0."""
-    return math.fsum(1.0 / k for k in range(1, int(m) + 1))
+    """H_m = sum_{k=1..m} 1/k as a compensated sum; H_0 = 0."""
+    m = int(m)
+    return next(islice(_harmonic_numbers(), m - 1, None)) if m > 0 else 0.0
 
 
 def l2_density_norm(masses, volumes) -> float:
@@ -88,8 +104,8 @@ class IterateState:
     covariance square root (``covariance = e_n @ e_n.T``).  ``f0``/``e0`` are
     the first iterates and ``m0`` the operator ``K⁻¹AᵀA``; together they
     define the recursion.  ``volumes`` holds the true-axis bin volumes used
-    by the density norms, ``delta_g`` an optional systematic offset of the
-    measured input and ``delta_f0`` its image ``K⁻¹Aᵀ delta_g``.
+    by the density norms and ``delta_f0`` the image ``K⁻¹Aᵀ delta_g`` of an
+    optional systematic offset of the measured input.
     """
 
     n: int
@@ -99,7 +115,6 @@ class IterateState:
     e0: np.ndarray
     m0: np.ndarray
     volumes: np.ndarray
-    delta_g: np.ndarray | None = None
     delta_f0: np.ndarray | None = None
 
     @property
@@ -177,6 +192,15 @@ class StoppingPolicy:
     def min_total(cls, max_iterations=DEFAULT_MAX_ITERATIONS):
         return cls("min_total", max_iterations=max_iterations)
 
+    def _fired(self, budget, best_n):
+        """Whether the rule stops at `budget`'s order; `best_n` is the
+        order of the smallest total so far."""
+        if self.rule == "fixed":
+            return budget.n >= self.order
+        if self.rule == "stat_fraction":
+            return budget.stat_fraction >= self.threshold
+        return budget.n - best_n >= MIN_TOTAL_PATIENCE
+
 
 @dataclass(frozen=True)
 class UnfoldResult:
@@ -212,16 +236,17 @@ def init(R: ResponseMatrix, g: Histogram, syst=None, covariance=None) -> Iterate
     f0 = bt @ g.contents
     e0 = bt @ e_meas
     m0 = bt @ a
-    delta_g = None
-    delta_f0 = None
-    if syst is not None:
-        delta_g = np.asarray(syst, dtype=np.float64)
-        if delta_g.shape != (R.meas_axis.nbins,):
-            raise DimensionError("systematic offset length does not match the measured axis")
-        delta_f0 = bt @ delta_g
+    delta_f0 = None if syst is None else _image(bt, R, syst)
     return IterateState(n=0, f_n=f0, e_n=e0, f0=f0, e0=e0, m0=m0,
-                        volumes=R.true_axis.widths, delta_g=delta_g,
-                        delta_f0=delta_f0)
+                        volumes=R.true_axis.widths, delta_f0=delta_f0)
+
+
+def _image(bt, R: ResponseMatrix, delta_g) -> np.ndarray:
+    """``K⁻¹Aᵀ delta_g`` with ``bt = K⁻¹Aᵀ`` formed as in :func:`init`."""
+    delta_g = np.asarray(delta_g, dtype=np.float64)
+    if delta_g.shape != (R.meas_axis.nbins,):
+        raise DimensionError("systematic offset length does not match the measured axis")
+    return bt @ delta_g
 
 
 def step(s: IterateState) -> IterateState:
@@ -254,11 +279,15 @@ def syst_bound(s: IterateState, R: ResponseMatrix, delta_g, bin_volume: float) -
     number equals digamma(n+2) plus the Euler constant and grows like
     1 + log(n+1).
     """
+    norm = l2_density_norm(_image(R.matrix.T / R.k_factor, R, delta_g), s.volumes)
+    return _syst(harmonic_number(s.n + 1), norm, bin_volume)
+
+
+def _syst(h, norm, bin_volume):
+    """:func:`syst_bound` from ``H_{n+1}`` and ``||K⁻¹Aᵀ delta_g||_2``."""
     if bin_volume <= 0:
         raise ValueError("bin_volume must be positive")
-    h = R.transpose_apply(np.asarray(delta_g, dtype=np.float64)) / R.k_factor
-    return (1.0 / math.sqrt(bin_volume)) * harmonic_number(s.n + 1) \
-        * l2_density_norm(h, s.volumes)
+    return (1.0 / math.sqrt(bin_volume)) * h * norm
 
 
 def stat_summary(s: IterateState):
@@ -271,25 +300,10 @@ def stat_summary(s: IterateState):
     return per_bin, integral, fraction
 
 
-class _Harmonic:
-    """Kahan-compensated running harmonic number."""
-
-    def __init__(self):
-        self.value = 0.0
-        self._c = 0.0
-
-    def add(self, term):
-        t = term - self._c
-        new = self.value + t
-        self._c = (new - self.value) - t
-        self.value = new
-
-
-def _budget(s: IterateState, nx, min_volume, syst_coeff, h_value) -> ErrorBudget:
-    per_bin, integral, fraction = stat_summary(s)
-    bias = (1.0 / math.sqrt(min_volume)) / (s.n + 2) \
-        * l2_density_norm(s.f_n, s.volumes)
-    syst = (1.0 / math.sqrt(min_volume)) * h_value * syst_coeff
+def _budget(s: IterateState, nx, min_volume, syst_norm, h) -> ErrorBudget:
+    _, integral, fraction = stat_summary(s)
+    bias = bias_bound(s, min_volume)
+    syst = _syst(h, syst_norm, min_volume)
     return ErrorBudget(
         n=s.n,
         bias_bound=bias,
@@ -311,55 +325,32 @@ def run(R: ResponseMatrix, g: Histogram, policy: StoppingPolicy,
     executed order, including order 0.  Scalar budgets use the smallest
     true-bin volume, the worst case on a non-uniform axis.
     """
-    state = init(R, g, syst=syst, covariance=covariance)
+    state = best = init(R, g, syst=syst, covariance=covariance)
     nx = R.true_axis.nbins
     min_volume = float(state.volumes.min())
-    syst_coeff = 0.0
-    if state.delta_f0 is not None:
-        syst_coeff = l2_density_norm(state.delta_f0, state.volumes)
-    harmonic = _Harmonic()
-    harmonic.add(1.0)  # H_1 at order 0
+    syst_norm = 0.0 if syst is None else l2_density_norm(state.delta_f0, state.volumes)
+    harmonics = _harmonic_numbers()  # H_{n+1} at order n
 
     cap = policy.max_iterations
-    budgets = [_budget(state, nx, min_volume, syst_coeff, harmonic.value)]
-    truncated = False
-
-    def advance(s):
-        s = step(s)
-        harmonic.add(1.0 / (s.n + 1))
-        budgets.append(_budget(s, nx, min_volume, syst_coeff, harmonic.value))
-        return s
-
-    if policy.rule == "fixed":
-        target = min(policy.order, cap)
-        while state.n < target:
-            state = advance(state)
-        truncated = policy.order > cap
-        final = state
-    elif policy.rule == "stat_fraction":
-        while budgets[-1].stat_fraction < policy.threshold and state.n < cap:
-            state = advance(state)
-        truncated = budgets[-1].stat_fraction < policy.threshold
-        final = state
-    else:  # min_total
-        best_n, best_total, best_state = 0, budgets[0].total, state
-        while state.n < cap and state.n - best_n < MIN_TOTAL_PATIENCE:
-            state = advance(state)
-            if budgets[-1].total < best_total:
-                best_n, best_total, best_state = state.n, budgets[-1].total, state
-        truncated = state.n - best_n < MIN_TOTAL_PATIENCE
-        final = best_state
+    budgets = [_budget(state, nx, min_volume, syst_norm, next(harmonics))]
+    while not policy._fired(budgets[-1], best.n) and state.n < cap:
+        state = step(state)
+        budgets.append(_budget(state, nx, min_volume, syst_norm, next(harmonics)))
+        # min_total keeps its argmin, the other rules the last order
+        if policy.rule != "min_total" or budgets[-1].total < budgets[best.n].total:
+            best = state
+    truncated = not policy._fired(budgets[-1], best.n)
     if truncated:
         warnings.warn(
             f"stopping policy did not fire within {cap} iterations; "
             "returning the best order examined", RuntimeWarning)
 
-    per_bin, _, _ = stat_summary(final)
+    per_bin, _, _ = stat_summary(best)
     syst_err = None
-    if state.delta_f0 is not None:
+    if syst is not None:
         # per-bin mass bound: bin volume times the per-bin average bound
-        syst_err = np.sqrt(final.volumes) * harmonic_number(final.n + 1) * syst_coeff
-    result = Histogram(R.true_axis, final.f_n, stat_err=per_bin,
+        syst_err = np.sqrt(best.volumes) * harmonic_number(best.n + 1) * syst_norm
+    result = Histogram(R.true_axis, best.f_n, stat_err=per_bin,
                        syst_err=syst_err, kind=g.kind, unfolded=True)
     return UnfoldResult(result=result, trace=tuple(budgets),
-                        stopped_at=final.n, truncated=truncated)
+                        stopped_at=best.n, truncated=truncated)

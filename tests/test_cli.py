@@ -324,3 +324,61 @@ class TestNonFiniteScenario:
         err = capsys.readouterr().err
         assert "mean must be finite" in err and "field: truth" in err
         assert not (tmp_path / "o" / "measured.json").exists()
+
+
+class TestBadInputFiles:
+    def unfold(self, measured, response, tmp_path):
+        return run_cli("unfold", "--measured", str(measured),
+                       "--response", str(response), "--stop", "fixed=3",
+                       "--out", str(tmp_path / "o.json"))
+
+    def test_missing_measured_file_exits_3(self, response_file, tmp_path):
+        assert self.unfold(tmp_path / "absent.json", response_file, tmp_path) == 3
+        assert not (tmp_path / "o.json").exists()
+
+    def test_truncated_json_exits_3(self, sim_dir, response_file, tmp_path):
+        text = (sim_dir / "measured.json").read_text()
+        path = tmp_path / "cut.json"
+        path.write_text(text[:len(text) // 2])
+        assert self.unfold(path, response_file, tmp_path) == 3
+        assert not (tmp_path / "o.json").exists()
+
+    def test_histogram_without_contents_exits_3(self, sim_dir, response_file,
+                                                tmp_path):
+        d = json.loads((sim_dir / "measured.json").read_text())
+        del d["contents"]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(d))
+        assert self.unfold(path, response_file, tmp_path) == 3
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
+    def test_non_finite_k_factor_exits_3(self, sim_dir, response_file, tmp_path,
+                                         capsys, k):
+        # json writes these as the Infinity and NaN tokens, which json reads
+        d = json.loads(response_file.read_text())
+        d["k_factor"] = k
+        path = tmp_path / "R.json"
+        path.write_text(json.dumps(d))
+        assert self.unfold(sim_dir / "measured.json", path, tmp_path) == 3
+        assert "k_override" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+
+class TestUnfoldSource:
+    def test_response_is_exclusive_with_kernel_and_pairs(self, sim_dir,
+                                                         response_file, tmp_path):
+        for source in (("--kernel", "gauss", "--sigma", "1"),
+                       ("--pairs", str(sim_dir / "pairs.csv"))):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                        "--response", str(response_file), *source,
+                        "--stop", "fixed=3", "--out", str(tmp_path / "o.json"))
+            assert exc.value.code == 2
+        assert not (tmp_path / "o.json").exists()
+
+    def test_a_source_is_required(self, sim_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                    "--stop", "fixed=3", "--out", str(tmp_path / "o.json"))
+        assert exc.value.code == 2

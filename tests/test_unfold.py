@@ -354,3 +354,62 @@ def _replay(rm, g, order):
     for _ in range(order):
         s = uf.step(s)
     return s
+
+
+class TestOneDefinitionPerTerm:
+    """The trace's bias and systematic columns and the result's systematic
+    error are the public bias_bound, syst_bound and harmonic_number, bit
+    for bit, also for a non-square response with K != 1 on a non-uniform
+    true axis."""
+
+    @staticmethod
+    def system(seed):
+        rng = np.random.default_rng(seed)
+        ny = int(rng.integers(3, 10))
+        nx = max(2, ny + int(rng.choice([-2, -1, 1, 2, 3])))
+        true_axis = uf.Axis(np.cumsum(rng.uniform(0.2, 2.0, nx + 1)))
+        meas_axis = uf.Axis.uniform(0.0, 1.0, ny)
+        a = random_response_matrix(rng, nx, ny)
+        k_override = None if seed % 2 else 1.5 * uf.compute_k(a)
+        rm = uf.ResponseMatrix(true_axis, meas_axis, a, k_override=k_override)
+        counts = rng.uniform(1.0, 50.0, ny)
+        g = uf.Histogram(meas_axis, counts, stat_err=np.sqrt(counts))
+        syst = rng.normal(0.0, 0.1, ny) * counts
+        return rm, g, syst
+
+    def test_trace_columns_are_the_public_bounds(self):
+        for seed in range(20):
+            rm, g, syst = self.system(seed)
+            assert rm.shape[0] != rm.shape[1] and rm.k_factor != 1.0
+            assert not rm.true_axis.is_uniform()
+            out = uf.run(rm, g, uf.StoppingPolicy.fixed(15), syst=syst)
+            width = float(rm.true_axis.widths.min())
+            s = uf.init(rm, g, syst=syst)
+            for row in out.trace:
+                assert row.n == s.n
+                assert row.bias_bound == uf.bias_bound(s, width), (seed, s.n)
+                assert row.syst_bound == uf.syst_bound(s, rm, syst, width), (seed, s.n)
+                s = uf.step(s)
+
+    def test_result_syst_err(self):
+        for seed in range(6):
+            rm, g, syst = self.system(seed)
+            out = uf.run(rm, g, uf.StoppingPolicy.fixed(9), syst=syst)
+            widths = rm.true_axis.widths
+            norm = uf.l2_density_norm((rm.matrix.T / rm.k_factor) @ syst, widths)
+            np.testing.assert_array_equal(
+                out.result.syst_err, np.sqrt(widths) * uf.harmonic_number(10) * norm)
+
+    def test_harmonic_number_is_fsum(self):
+        terms = [1.0 / k for k in range(1, uf.unfold.DEFAULT_MAX_ITERATIONS + 2)]
+        for m in [*range(300), *range(300, len(terms), 97), len(terms)]:
+            assert uf.harmonic_number(m) == math.fsum(terms[:m]), m
+        # the trace's systematic column is H_{n+1} here: one bin, K = 1,
+        # unit offset and unit width; every m up to the default cap
+        ax, rm = identity_system(1)
+        g = uf.Histogram(ax, [1.0], stat_err=[1.0])
+        out = uf.run(rm, g, uf.StoppingPolicy.fixed(uf.unfold.DEFAULT_MAX_ITERATIONS),
+                     syst=[1.0])
+        assert len(out.trace) == len(terms)
+        for row in out.trace:
+            assert row.syst_bound == math.fsum(terms[:row.n + 1]), row.n

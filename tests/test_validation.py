@@ -65,14 +65,35 @@ class TestResponse:
         with pytest.raises(ValueError, match="finite"):
             uf.ResponseMatrix.from_dict(d)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2.0"])
+    def test_k_override_must_be_a_finite_number(self, bad):
+        with pytest.raises(ValueError, match="k_override must be a finite number"):
+            uf.ResponseMatrix(AXIS, AXIS, np.eye(3) / 3, k_override=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_dict_rejects_non_finite_k_factor(self, bad):
+        # a stored NaN was ignored and an infinite K unfolded to zeros
+        d = uf.ResponseMatrix(AXIS, AXIS, np.eye(3) / 3).to_dict()
+        d["k_factor"] = bad
+        with pytest.raises(ValueError, match="k_override must be a finite number"):
+            uf.ResponseMatrix.from_dict(d)
+
+    def test_from_dict_drops_a_smaller_finite_k_factor(self):
+        d = uf.ResponseMatrix(AXIS, AXIS, np.eye(3) / 3).to_dict()
+        d["k_factor"] = 0.01
+        assert uf.ResponseMatrix.from_dict(d).k_factor == uf.compute_k(np.eye(3) / 3)
+
 
 class TestJsonWriters:
     def test_scenario_with_nan_parameter_is_not_written(self, tmp_path):
-        sc = uf.Scenario(truth=uf.GaussianTruth(float("nan"), 1.0),
-                         smearing=uf.GaussianSmearing(1.0), entries=10,
-                         seed=1, meas_axis=AXIS)
-        with pytest.raises(ValueError):
+        # the model refuses the NaN when it is built, so no such scenario
+        # reaches save_json
+        with pytest.raises(ValueError, match="finite"):
+            sc = uf.Scenario(truth=uf.GaussianTruth(float("nan"), 1.0),
+                             smearing=uf.GaussianSmearing(1.0), entries=10,
+                             seed=1, meas_axis=AXIS)
             sc.save_json(tmp_path / "sc.json")
+        assert not (tmp_path / "sc.json").exists()
 
     def test_finite_bytes_unchanged(self, tmp_path):
         h = uf.Histogram(AXIS, [1.0, 0.1, 1e-300], stat_err=[1.0, 0.5, 0.0],
@@ -96,49 +117,43 @@ CAUCHY_TRUTH = {"type": "cauchy", "location": 0.0, "scale": 1.0}
 
 class TestNonFiniteScenarioParameters:
     """A NaN or infinite model parameter would make every drawn value NaN;
-    it is refused by Scenario.from_dict (ConfigError, CLI exit 2) and by
-    generate and pseudo_experiments (ValueError)."""
+    it is refused when the model is built (ValueError), and so by
+    Scenario.from_dict (ConfigError, CLI exit 2)."""
 
-    def check(self, component, table_entry, side):
+    def check(self, build, table_entry, side):
         truth, smearing = ((table_entry, GAUSS_SMEARING) if side == "truth"
                            else (CAUCHY_TRUTH, table_entry))
         with pytest.raises(uf.ConfigError, match="finite") as exc:
             uf.Scenario.from_dict(scenario_dict(truth, smearing))
         assert exc.value.field == side
-        kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
-                  side: component}
-        sc = uf.Scenario(entries=100, seed=1, meas_axis=AXIS, **kwargs)
         with pytest.raises(ValueError, match="finite"):
-            uf.generate(sc)
-        with pytest.raises(ValueError, match="finite"):
-            uf.pseudo_experiments(sc, 2, uf.ResponseMatrix(AXIS, AXIS, np.eye(3)),
-                                  uf.StoppingPolicy.fixed(1))
+            build()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gaussian_truth(self, bad):
-        self.check(uf.GaussianTruth(mean=bad),
+        self.check(lambda: uf.GaussianTruth(mean=bad),
                    {"type": "gaussian", "mean": bad, "sigma": 1.0}, "truth")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_cauchy_truth(self, bad):
-        self.check(uf.CauchyTruth(scale=bad),
+        self.check(lambda: uf.CauchyTruth(scale=bad),
                    {"type": "cauchy", "location": 0.0, "scale": bad}, "truth")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_powerlaw_truth(self, bad):
-        self.check(uf.PowerlawTruth(exponent=bad),
+        self.check(lambda: uf.PowerlawTruth(exponent=bad),
                    {"type": "powerlaw_spectrum", "exponent": bad,
                     "scale_energy": 1.0}, "truth")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_gaussian_smearing(self, bad):
-        self.check(uf.GaussianSmearing(bad),
+        self.check(lambda: uf.GaussianSmearing(bad),
                    {"type": "gaussian_convolution", "sigma": bad}, "smearing")
 
     @pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, np.nan),
                                       (np.nan, 0.05)])
     def test_calorimeter_smearing(self, a, b):
-        self.check(uf.CalorimeterSmearing(a, b),
+        self.check(lambda: uf.CalorimeterSmearing(a, b),
                    {"type": "calorimeter", "stochastic_a": a, "constant_b": b},
                    "smearing")
 
