@@ -32,14 +32,12 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .baseline import naive_invert
+# each subcommand imports the rest of the package it runs, and no more
 from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
-                     NumericalFailureError, UnfoldingError)
+                     DimensionError, NumericalFailureError, UnfoldingError)
 from .histogram import Axis, Histogram, l1_distance, rebin_axes
-from .response import ResponseMatrix, read_pairs_csv, write_pairs_csv
-from .simulate import GaussianSmearing, Scenario, generate
-from .svg import Series, write as write_svg
-from .unfold import ErrorBudget, StoppingPolicy, run
+from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, read_pairs_csv,
+                       write_pairs_csv)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -79,6 +77,7 @@ def _stop_arg(text):
 
 
 def _policy(stop, max_iterations):
+    from .unfold import StoppingPolicy
     rule, value = stop
     try:
         return StoppingPolicy(rule, order=value if rule == "fixed" else None,
@@ -99,18 +98,26 @@ def _resolve_config(path):
     raise ConfigError(f"no such scenario config: {path}")
 
 
+def _check_kernel_options(args):
+    for field in ("sigma", "quad_points"):
+        if args.kernel is None and getattr(args, field) is not None:
+            raise ConfigError(f"--{field.replace('_', '-')} needs --kernel", field=field)
+
+
 def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
         if args.sigma is None or args.sigma <= 0:
             raise ConfigError("--kernel gauss requires --sigma > 0", field="sigma")
+        from .simulate import GaussianSmearing
         return ResponseMatrix.from_kernel(
             GaussianSmearing(args.sigma).kernel(), true_axis, meas_axis,
-            quad_points=args.quad_points)
+            quad_points=DEFAULT_QUAD_POINTS if args.quad_points is None else args.quad_points)
     return ResponseMatrix.from_pairs(read_pairs_csv(args.pairs),
                                      true_axis, meas_axis)
 
 
 def _write_trace(path, trace):
+    from .unfold import ErrorBudget
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ErrorBudget.CSV_HEADER + "\n")
         for budget in trace:
@@ -121,6 +128,7 @@ def _write_trace(path, trace):
 
 
 def _cmd_simulate(args):
+    from .simulate import Scenario, generate
     sc = Scenario.load_json(_resolve_config(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,6 +143,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_response(args):
+    _check_kernel_options(args)
     meas_axis = args.meas_axis
     true_axis = args.true_axis or meas_axis
     rm = _build_response(args, meas_axis, true_axis)
@@ -144,7 +153,9 @@ def _cmd_response(args):
 
 
 def _cmd_unfold(args):
+    from .unfold import run
     policy = _policy(args.stop, args.max_iterations)
+    _check_kernel_options(args)
     measured = Histogram.load_json(args.measured)
     if args.response is not None:
         if args.rebin is not None:
@@ -156,14 +167,15 @@ def _cmd_unfold(args):
         rebin = args.rebin or (1.0, 1)
         true_axis = rebin_axes(measured.axis, *rebin)
         rm = _build_response(args, measured.axis, true_axis)
-    syst = None
-    if args.syst is not None:
-        syst = Histogram.load_json(args.syst).contents
-    outcome = run(rm, measured, policy, syst=syst)
+    offset = None if args.syst is None else Histogram.load_json(args.syst)
+    if offset is not None and offset.axis != measured.axis:
+        raise DimensionError("--syst histogram is not on the measured axis")
+    outcome = run(rm, measured, policy, syst=None if offset is None else offset.contents)
     outcome.result.save_json(args.out)
     if args.trace:
         _write_trace(args.trace, outcome.trace)
     if args.svg:
+        from .svg import Series, write as write_svg
         series = [Series(measured, "measured")]
         if args.truth:
             series.append(Series(Histogram.load_json(args.truth), "truth",
@@ -188,6 +200,7 @@ def _cmd_fold(args):
 
 
 def _cmd_invert(args):
+    from .baseline import naive_invert
     measured = Histogram.load_json(args.measured)
     rm = ResponseMatrix.load_json(args.response)
     inverted = naive_invert(rm, measured)
@@ -224,8 +237,8 @@ def _parser():
                          help="analytic response kernel")
         grp.add_argument("--pairs", help="CSV of (true, measured) pairs")
         sp.add_argument("--sigma", type=float, help="kernel width")
-        sp.add_argument("--quad-points", type=int, default=8,
-                        help="quadrature nodes per bin (default 8)")
+        sp.add_argument("--quad-points", type=int,
+                        help=f"quadrature nodes per bin (default {DEFAULT_QUAD_POINTS})")
         return grp
 
     resp = sub.add_parser("response", help="build a response matrix")

@@ -35,6 +35,12 @@ _CHUNK_BUDGET = 4_000_000
 _PAIR_BLOCK = 65_536
 
 
+def _median(v):
+    """``np.median(v)``, bit for bit on v >= +0.0, without importing numpy.ma."""
+    s, mid = np.sort(v), v.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def compute_k(matrix) -> float:
     """Normalization factor of a folding matrix: max column sum of AᵀA.
 
@@ -58,7 +64,7 @@ def compute_k(matrix) -> float:
     k = float(col_sums.max(initial=0.0))
     if k <= 0.0:
         raise DegenerateOperatorError("all-zero matrix has no normalization factor")
-    median = float(np.median(col_sums))
+    median = _median(col_sums)
     if median > 0 and k > PEAKED_RESPONSE_RATIO * median:
         warnings.warn(
             "normalization factor exceeds 1e6 times the median column sum; "
@@ -85,6 +91,9 @@ class ResponseMatrix:
     __slots__ = ("_true_axis", "_meas_axis", "_matrix", "_k", "_zero_columns")
 
     def __init__(self, true_axis, meas_axis, matrix, k_override=None):
+        self._build(true_axis, meas_axis, matrix, k_override, stored=False)
+
+    def _build(self, true_axis, meas_axis, matrix, k_override, stored):
         m = np.array(matrix, dtype=np.float64, copy=True)
         if m.shape != (meas_axis.nbins, true_axis.nbins):
             raise DimensionError(
@@ -101,6 +110,9 @@ class ResponseMatrix:
                 f"column {worst} sums to {col_sums[worst]:.12g} > 1; entries "
                 "must be migration probabilities")
         k = compute_k(m)
+        if stored and isinstance(k_override, numbers.Real) and \
+                k_override <= k * (1.0 + 1e-12):
+            k_override = None
         if k_override is not None:
             if not (isinstance(k_override, numbers.Real) and math.isfinite(k_override)):
                 raise ValueError(
@@ -288,16 +300,11 @@ class ResponseMatrix:
 
     @classmethod
     def from_dict(cls, d) -> "ResponseMatrix":
-        true_axis = Axis.from_dict(d["true_axis"])
-        meas_axis = Axis.from_dict(d["meas_axis"])
-        matrix = np.asarray(d["matrix"], dtype=np.float64)
-        # a stored factor within rounding of the computed one is dropped;
-        # a larger or non-finite one goes on to the constructor's checks
-        override = d.get("k_factor")
-        if isinstance(override, numbers.Real) and \
-                override <= compute_k(matrix) * (1.0 + 1e-12):
-            override = None
-        return cls(true_axis, meas_axis, matrix, k_override=override)
+        # a stored factor below K, or above it by rounding only, is dropped
+        rm = cls.__new__(cls)
+        rm._build(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]),
+                  d["matrix"], d.get("k_factor"), stored=True)
+        return rm
 
     def save_json(self, path):
         _save_json(path, self.to_dict())

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .histogram import Axis, Histogram, _load_json, _save_json, rebin_axes
 from .response import ResponseMatrix
-from .unfold import StoppingPolicy, init, run, step
 
 
 def _gauss_cdf(z):
@@ -362,6 +361,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     experiments and of CPUs); results are bit-identical for any worker
     count.
     """
+    from .unfold import init, run, step
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
     if R.meas_axis != sc.meas_axis:

@@ -382,3 +382,55 @@ class TestUnfoldSource:
             run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
                     "--stop", "fixed=3", "--out", str(tmp_path / "o.json"))
         assert exc.value.code == 2
+
+
+class TestKernelOptions:
+    """--sigma and --quad-points shape the --kernel response; with any
+    other source they are a usage error, not silently ignored."""
+
+    @pytest.mark.parametrize("source", ["unfold --response", "unfold --pairs",
+                                        "response --pairs"])
+    @pytest.mark.parametrize("option, field", [(("--sigma", "5"), "sigma"),
+                                               (("--quad-points", "2"), "quad_points")])
+    def test_without_kernel_exits_2(self, sim_dir, response_file, tmp_path, capsys,
+                                    source, option, field):
+        command, flag = source.split()
+        argv = ([flag, str(response_file if flag == "--response" else sim_dir / "pairs.csv"),
+                 *option, "--out", str(tmp_path / "o.json")]
+                + (["--measured", str(sim_dir / "measured.json"), "--stop", "fixed=3"]
+                   if command == "unfold" else ["--meas-axis=-10:10:100"]))
+        assert run_cli(command, *argv) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_quad_points_default_and_explicit_value_with_kernel(self, response_file,
+                                                                tmp_path):
+        def build(name, *extra):
+            assert run_cli("response", "--kernel", "gauss", "--sigma", "1.0", *extra,
+                           "--meas-axis=-10:10:100", "--out", str(tmp_path / name)) == 0
+            return (tmp_path / name).read_bytes()
+
+        assert build("eight.json", "--quad-points", "8") == response_file.read_bytes()
+        assert build("two.json", "--quad-points", "2") != response_file.read_bytes()
+
+    def test_zero_quad_points_with_kernel_still_exits_3(self, tmp_path):
+        assert run_cli("response", "--kernel", "gauss", "--sigma", "1.0",
+                       "--quad-points", "0", "--meas-axis=-10:10:100",
+                       "--out", str(tmp_path / "R.json")) == 3
+
+
+class TestSystAxis:
+    def test_offset_on_another_axis_exits_3(self, sim_dir, response_file, tmp_path,
+                                            capsys):
+        # same number of bins, edges 0..100 instead of the measured -10..10
+        d = json.loads((sim_dir / "truth.json").read_text())
+        d["axis"] = uf.Axis.uniform(0.0, 100.0, 100).to_dict()
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(response_file), "--syst", str(path),
+                       "--stop", "fixed=3", "--out", str(tmp_path / "o.json"),
+                       "--trace", str(tmp_path / "t.csv")) == 3
+        assert "measured axis" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "t.csv").exists()

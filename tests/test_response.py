@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unfolder as uf
+from unfolder import response
 from unfolder.errors import (ConstructionError, DegenerateOperatorError,
                              DimensionError, InvalidKernelError)
 
@@ -47,6 +50,104 @@ class TestComputeK:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             uf.compute_k([[-0.1]])
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestComputeKMedian:
+    """compute_k takes its median without np.median (which imports
+    numpy.ma) and must still get np.median's value, bit for bit, on what
+    it takes the median of: column sums of AᵀA, which are +0.0 or above
+    (np.median also turns a -0.0 into 0.0, which no column sum is)."""
+
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_median_equals_numpy_median(self, values):
+        v = np.array(values, dtype=np.float64)
+        assert float_bits(response._median(v)) == float_bits(float(np.median(v)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("values", [[3.5], [1.0, 2.0], [0.1, 0.2], [0.2, 0.1, 0.3],
+                                        [1.7e308, 1.7e308], [5e-324, 5e-324],
+                                        [0.0], [0.0, 0.0], [np.inf, 1.0],
+                                        [1.0, 1.0 + 2**-52, 7.0, 9.0]])
+    def test_median_short_and_edge_cases(self, values):
+        v = np.array(values, dtype=np.float64)
+        assert float_bits(response._median(v)) == float_bits(float(np.median(v)))
+
+    @given(st.lists(st.floats(0.25, 4.0), min_size=2, max_size=12),
+           st.integers(-4, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_peaked_warning_on_the_same_side_as_np_median(self, others, ulps):
+        # a diagonal matrix has the squared diagonal as AᵀA column sums; the
+        # peak sits within a few ulps of the warning threshold
+        cs = np.array(others) ** 2
+        peak = np.sqrt(response.PEAKED_RESPONSE_RATIO * np.median(np.append(cs, 1e300)))
+        for _ in range(abs(ulps)):
+            peak = np.nextafter(peak, np.inf if ulps > 0 else 0.0)
+        a = np.diag(np.append(others, peak))
+        col_sums = (a.T @ a).sum(axis=0)
+        expected = col_sums.max() > response.PEAKED_RESPONSE_RATIO * float(np.median(col_sums))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            k = uf.compute_k(a)
+        assert k == col_sums.max()
+        assert any("peaked" in str(w.message) for w in caught) == expected
+
+
+class TestLoadComputesKOnce:
+    AXIS = uf.Axis.uniform(0.0, 1.0, 4)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(matrix):
+            counted.append(1)
+            return compute_k(matrix)
+
+        compute_k = response.compute_k
+        monkeypatch.setattr(response, "compute_k", counting)
+        return counted
+
+    def stored(self, tmp_path, k_factor):
+        rm = uf.ResponseMatrix(self.AXIS, self.AXIS,
+                               random_response_matrix(np.random.default_rng(1), 4, 4))
+        d = rm.to_dict()
+        d["k_factor"] = k_factor(rm.k_factor)
+        path = tmp_path / "R.json"
+        path.write_text(json.dumps(d))
+        return rm, path
+
+    @pytest.mark.parametrize("k_factor", [lambda k: k, lambda k: k * (1 + 5e-13),
+                                          lambda k: k * (1 - 1e-13), lambda k: 0.01,
+                                          lambda k: None],
+                             ids=["equal", "rounding-above", "rounding-below",
+                                  "smaller", "absent"])
+    def test_stored_factor_within_rounding_or_below_is_dropped(self, tmp_path, calls,
+                                                               k_factor):
+        rm, path = self.stored(tmp_path, k_factor)
+        calls.clear()
+        assert uf.ResponseMatrix.load_json(path).k_factor == rm.k_factor
+        assert len(calls) == 1
+
+    def test_larger_stored_factor_is_kept(self, tmp_path, calls):
+        rm, path = self.stored(tmp_path, lambda k: 1.5 * k)
+        calls.clear()
+        assert uf.ResponseMatrix.load_json(path).k_factor == 1.5 * rm.k_factor
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, "2.0"])
+    def test_non_finite_stored_factor_raises(self, tmp_path, calls, bad):
+        _, path = self.stored(tmp_path, lambda k: bad)
+        calls.clear()
+        with pytest.raises(ValueError, match="k_override must be a finite number"):
+            uf.ResponseMatrix.load_json(path)
+        assert len(calls) == 1
 
 
 class TestFromKernel:

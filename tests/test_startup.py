@@ -1,5 +1,6 @@
 """Start-up of a fresh interpreter: ``import unfolder`` resolves its public
-names lazily, and the CLI sets OpenBLAS's idle timeout before numpy loads.
+names lazily, the CLI sets OpenBLAS's idle timeout before numpy loads, and
+each CLI subcommand loads only the package modules it runs.
 
 Each check runs in a child interpreter, since this one has numpy loaded.
 """
@@ -115,3 +116,68 @@ class TestBlasIdleTimeout:
             outputs[value] = [(out / name).read_bytes()
                               for name in ("R.json", "result.json", "trace.csv")]
         assert outputs["4"] == outputs["28"]
+
+
+class TestLeanCommands:
+    """Each subcommand imports the package modules it runs and no others,
+    and none of them imports numpy.ma."""
+
+    BASE = ["unfolder", "unfolder.cli", "unfolder.errors", "unfolder.histogram",
+            "unfolder.response"]
+    PROBE = ("import contextlib, io, json, sys\n"
+             "from unfolder.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main({argv!r})\n"
+             "print(json.dumps([code, sorted(n for n in sys.modules"
+             " if n.split('.')[0] == 'unfolder'), 'numpy.ma' in sys.modules]))")
+
+    def test_import_cli_loads_only_what_every_command_needs(self):
+        out = run_python("import json, sys\nimport unfolder.cli\n"
+                         "print(json.dumps([sorted(n for n in sys.modules"
+                         " if n.split('.')[0] == 'unfolder'),"
+                         " 'numpy.ma' in sys.modules]))")
+        assert out == [self.BASE, False]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("lean")
+        axis = uf.Axis.uniform(-5.0, 5.0, 20)
+        truth = 200.0 / (1.0 + axis.centers ** 2)
+        uf.Histogram.from_counts(axis, np.random.default_rng(3).poisson(truth)).save_json(
+            d / "measured.json")
+        uf.Histogram(axis, truth).save_json(d / "truth.json")
+        uf.ResponseMatrix.from_kernel(uf.GaussianSmearing(0.5).kernel(),
+                                      axis, axis).save_json(d / "R.json")
+        x = np.random.default_rng(4).uniform(-5.0, 5.0, 2000)
+        uf.write_pairs_csv(d / "pairs.csv", np.column_stack([x, x + 0.1]))
+        return d
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["simulate", "cauchy-gauss", "--out", "{d}/sim"], ["unfolder.simulate"]),
+        (["response", "--kernel", "gauss", "--sigma", "0.5",
+          "--meas-axis=-5:5:20", "--out", "{d}/o.json"], ["unfolder.simulate"]),
+        (["response", "--pairs", "{d}/pairs.csv", "--meas-axis=-5:5:20",
+          "--out", "{d}/o.json"], []),
+        (["unfold", "--measured", "{d}/measured.json", "--response", "{d}/R.json",
+          "--stop", "min-total", "--out", "{d}/o.json", "--trace", "{d}/t.csv"],
+         ["unfolder.unfold"]),
+        (["unfold", "--measured", "{d}/measured.json", "--response", "{d}/R.json",
+          "--stop", "stat-frac=0.05", "--truth", "{d}/truth.json",
+          "--out", "{d}/o.json", "--svg", "{d}/p.svg"],
+         ["unfolder.svg", "unfolder.unfold"]),
+        (["unfold", "--measured", "{d}/measured.json", "--kernel", "gauss",
+          "--sigma", "0.5", "--rebin", "1,2", "--stop", "fixed=5", "--out", "{d}/o.json"],
+         ["unfolder.simulate", "unfolder.unfold"]),
+        (["unfold", "--measured", "{d}/measured.json", "--pairs", "{d}/pairs.csv",
+          "--syst", "{d}/truth.json", "--stop", "fixed=5", "--out", "{d}/o.json"],
+         ["unfolder.unfold"]),
+        (["fold", "--truth", "{d}/truth.json", "--response", "{d}/R.json",
+          "--out", "{d}/o.json"], []),
+        (["invert", "--measured", "{d}/measured.json", "--response", "{d}/R.json",
+          "--truth", "{d}/truth.json", "--out", "{d}/o.json"], ["unfolder.baseline"]),
+    ], ids=["simulate", "response-kernel", "response-pairs", "unfold", "unfold-svg",
+            "unfold-kernel-rebin", "unfold-pairs-syst", "fold", "invert"])
+    def test_command_loads_only_its_modules(self, files, argv, extra):
+        argv = [a.replace("{d}", str(files)) for a in argv]
+        assert run_python(self.PROBE.format(argv=argv)) == [
+            0, sorted(self.BASE + extra), False]
