@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
                      DimensionError, NumericalFailureError, UnfoldingError)
 from .histogram import Axis, Histogram, l1_distance, rebin_axes
-from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, read_pairs_csv,
-                       write_pairs_csv)
+from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, _gaussian_kernel,
+                       read_pairs_csv, write_pairs_csv)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -108,9 +108,8 @@ def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
         if args.sigma is None or args.sigma <= 0:
             raise ConfigError("--kernel gauss requires --sigma > 0", field="sigma")
-        from .simulate import GaussianSmearing
         return ResponseMatrix.from_kernel(
-            GaussianSmearing(args.sigma).kernel(), true_axis, meas_axis,
+            _gaussian_kernel(args.sigma), true_axis, meas_axis,
             quad_points=DEFAULT_QUAD_POINTS if args.quad_points is None else args.quad_points)
     return ResponseMatrix.from_pairs(read_pairs_csv(args.pairs),
                                      true_axis, meas_axis)

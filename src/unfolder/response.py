@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -28,10 +28,10 @@ COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
 DEFAULT_QUAD_POINTS = 8
 
-# kernel evaluations per chunk in from_kernel, to cap the broadcast size
-_CHUNK_BUDGET = 4_000_000
-
-# pairs binned per block in from_pairs, to keep the temporaries cache-sized
+# values per block wherever the work grows with a sample or a grid: pairs
+# counted in from_pairs and drawn in simulate.generate, rows of the pairs
+# CSV, kernel evaluations per chunk in from_kernel.  The temporaries stay
+# cache-sized and peak memory is the output plus one block.
 _PAIR_BLOCK = 65_536
 
 
@@ -162,33 +162,33 @@ class ResponseMatrix:
         offsets = (np.arange(quad_points) + 0.5) / quad_points
         # x nodes: (nx, Q)
         x_nodes = true_axis.edges[:-1, None] + true_axis.widths[:, None] * offsets[None, :]
-
+        y_nodes = meas_axis.edges[:-1, None] + meas_axis.widths[:, None] * offsets[None, :]
+        y_weight = meas_axis.widths / quad_points
+        # about _PAIR_BLOCK kernel evaluations per chunk of true bins
+        per_bin = (ny + 1) * quad_points if kernel_cdf is not None else ny * quad_points ** 2
+        chunk = max(1, _PAIR_BLOCK // per_bin)
         matrix = np.empty((ny, nx))
-        if kernel_cdf is not None:
-            # exact y-integral between measured edges, averaged over x nodes
-            cdf_at_edges = np.asarray(
-                kernel_cdf(meas_axis.edges[:, None, None], x_nodes[None, :, :]),
-                dtype=np.float64)
-            if cdf_at_edges.shape != (ny + 1, nx, quad_points):
-                raise ValueError("kernel_cdf must broadcast over its arguments")
-            mass = np.diff(cdf_at_edges, axis=0)
-            if np.any(mass < -1e-12):
-                raise InvalidKernelError("kernel_cdf is not monotone in y")
-            matrix = np.clip(mass, 0.0, None).mean(axis=2)
-        else:
-            y_nodes = meas_axis.edges[:-1, None] + meas_axis.widths[:, None] * offsets[None, :]
-            y_weight = meas_axis.widths / quad_points
-            chunk = max(1, _CHUNK_BUDGET // (ny * quad_points * quad_points))
-            for j0 in range(0, nx, chunk):
-                j1 = min(nx, j0 + chunk)
+        for j0 in range(0, nx, chunk):
+            x = x_nodes[j0:j0 + chunk]
+            if kernel_cdf is not None:
+                # exact y-integral between measured edges, averaged over x nodes
+                cdf_at_edges = np.asarray(
+                    kernel_cdf(meas_axis.edges[:, None, None], x[None, :, :]),
+                    dtype=np.float64)
+                if cdf_at_edges.shape != (ny + 1, *x.shape):
+                    raise ValueError("kernel_cdf must broadcast over its arguments")
+                mass = np.diff(cdf_at_edges, axis=0)
+                if np.any(mass < -1e-12):
+                    raise InvalidKernelError("kernel_cdf is not monotone in y")
+                block = np.clip(mass, 0.0, None).mean(axis=2)
+            else:
                 # broadcast (ny, jchunk, Qy, Qx)
-                vals = np.asarray(kernel(
-                    y_nodes[:, None, :, None],
-                    x_nodes[None, j0:j1, None, :]), dtype=np.float64)
+                vals = np.asarray(kernel(y_nodes[:, None, :, None], x[None, :, None, :]),
+                                  dtype=np.float64)
                 if np.any(vals < 0):
                     raise InvalidKernelError("kernel returned a negative density")
-                matrix[:, j0:j1] = (vals.sum(axis=(2, 3))
-                                    * y_weight[:, None]) / quad_points
+                block = (vals.sum(axis=(2, 3)) * y_weight[:, None]) / quad_points
+            matrix[:, j0:j0 + chunk] = block
         # quadrature noise can push a column a hair over 1
         col = matrix.sum(axis=0)
         over = col > 1.0
@@ -383,25 +383,18 @@ def _pair_counts(pairs, x_edges, y_edges):
 
 
 def write_pairs_csv(path, pairs):
-    """Two-column CSV of (x, y) pairs; NaN y is written as the MISS token."""
+    """Two-column CSV of (x, y) pairs; NaN y is written as the MISS token.
+    The rows are converted and written _PAIR_BLOCK at a time."""
     p = np.asarray(pairs, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for x, y in p.tolist():
-            fh.write(f"{x!r},{repr(y) if math.isfinite(y) else 'MISS'}\n")
+        for start in range(0, p.shape[0], _PAIR_BLOCK):
+            for x, y in p[start:start + _PAIR_BLOCK].tolist():
+                fh.write(f"{x!r},{repr(y) if math.isfinite(y) else 'MISS'}\n")
 
 
-def read_pairs_csv(path) -> np.ndarray:
-    """Read an (n, 2) pair array; the MISS token becomes NaN.
-
-    Blank lines and header lines (first field ``x``, in any case) are
-    skipped; every value is ``float()`` of its field, so a written array
-    reads back bit for bit.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
-    if not lines:
-        return np.empty((0, 2))
+def _parse_pairs(lines):
+    """The (n, 2) pairs of a list of stripped, non-blank CSV lines."""
     if set(map(str.count, lines, repeat(","))) != {1}:
         bad = next(line for line in lines if line.count(",") != 1)
         raise ValueError(f"expected 2 comma-separated fields, got {bad!r}")
@@ -414,3 +407,26 @@ def read_pairs_csv(path) -> np.ndarray:
     x = np.fromiter(map(float, xs), dtype=np.float64, count=len(xs))
     y = np.fromiter(map(float, ys), dtype=np.float64, count=len(xs))
     return np.column_stack([x, y])
+
+
+def read_pairs_csv(path) -> np.ndarray:
+    """Read an (n, 2) pair array; the MISS token becomes NaN.
+
+    Blank lines and header lines (first field ``x``, in any case) are
+    skipped; every value is ``float()`` of its field, so a written array
+    reads back bit for bit.  The file is read and parsed _PAIR_BLOCK lines
+    at a time, and the first block with a bad line raises.
+    """
+    blocks = []
+    with open(path, encoding="utf-8") as fh:
+        stripped = map(str.strip, fh)
+        while block := list(islice(stripped, _PAIR_BLOCK)):
+            if lines := list(filter(None, block)):
+                blocks.append(_parse_pairs(lines))
+    return np.concatenate(blocks) if blocks else np.empty((0, 2))
+
+
+def _gaussian_kernel(sigma):
+    """Vectorized Gaussian response density rho(y | x) of width `sigma`."""
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    return lambda y, x: norm * np.exp(-0.5 * ((y - x) / sigma) ** 2)

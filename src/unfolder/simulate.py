@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .histogram import Axis, Histogram, _load_json, _save_json, rebin_axes
-from .response import ResponseMatrix
+from .response import _PAIR_BLOCK, ResponseMatrix, _gaussian_kernel
 
 
 def _gauss_cdf(z):
@@ -139,9 +139,7 @@ class GaussianSmearing(_Model):
 
     def kernel(self):
         """Vectorized response density rho(y | x)."""
-        s = self.sigma
-        norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
-        return lambda y, x: norm * np.exp(-0.5 * ((y - x) / s) ** 2)
+        return _gaussian_kernel(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -295,20 +293,34 @@ def _sample(sc: Scenario, rng, n):
     return x, y
 
 
+def _bin_column(v, axis):
+    """Counts of `v` on `axis`, and how many values fall below and above
+    it, taken _PAIR_BLOCK values at a time."""
+    counts, below, above = np.zeros(axis.nbins, dtype=np.intp), 0, 0
+    for start in range(0, v.size, _PAIR_BLOCK):
+        block = v[start:start + _PAIR_BLOCK]
+        counts += np.histogram(block, bins=axis.edges)[0]
+        below += int(np.sum(block < axis.low))
+        above += int(np.sum(block > axis.high))
+    return counts, below, above
+
+
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
-    x, y = _sample(sc, rng, n_entries)
+    # the draws of one _sample call, _PAIR_BLOCK at a time: a Generator
+    # fills n values as n successive draws, so only `pairs` grows with n
+    pairs = np.empty((n_entries, 2))
+    blocks = [slice(start, start + _PAIR_BLOCK)
+              for start in range(0, n_entries, _PAIR_BLOCK)]
+    for b in blocks:
+        pairs[b, 0] = sc.truth.sample(rng, len(pairs[b]))
+    for b in blocks:
+        pairs[b, 1] = sc.smearing.apply(rng, pairs[b, 0])
     true_axis = sc.true_axis
-    tc, _ = np.histogram(x, bins=true_axis.edges)
-    mc, _ = np.histogram(y, bins=sc.meas_axis.edges)
-    return GenerateResult(
-        truth_hist=Histogram.from_counts(true_axis, tc),
-        measured=Histogram.from_counts(sc.meas_axis, mc),
-        pairs=np.column_stack([x, y]),
-        truth_underflow=int(np.sum(x < true_axis.low)),
-        truth_overflow=int(np.sum(x > true_axis.high)),
-        meas_underflow=int(np.sum(y < sc.meas_axis.low)),
-        meas_overflow=int(np.sum(y > sc.meas_axis.high)),
-    )
+    tc, *truth_tallies = _bin_column(pairs[:, 0], true_axis)
+    mc, *meas_tallies = _bin_column(pairs[:, 1], sc.meas_axis)
+    return GenerateResult(Histogram.from_counts(true_axis, tc),
+                          Histogram.from_counts(sc.meas_axis, mc),
+                          pairs, *truth_tallies, *meas_tallies)
 
 
 def generate(sc: Scenario) -> GenerateResult:
@@ -352,9 +364,9 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     ``f_N = B_N g``, so the ensemble's mean and covariance are those of the
     counts mapped through ``B_N``; no experiment is iterated on its own.
     With `poisson_total` the sample size of each experiment
-    fluctuates as Poisson(entries), which makes the bin contents exactly
-    independent Poisson variates; otherwise the total is fixed (multinomial
-    bins).
+    fluctuates as Poisson(entries), a draw of 0 included, which makes the
+    bin contents exactly independent Poisson variates; otherwise the total
+    is fixed (multinomial bins).
 
     `workers` threads parallelize the sample generation (default from the
     UNFOLDER_THREADS environment variable, clamped to the number of
@@ -377,7 +389,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
         # the draws of generate(), but only the measured side is binned
         rng = np.random.default_rng(seed)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        _, y = _sample(sc, rng, max(n, 1))
+        _, y = _sample(sc, rng, n)
         return np.histogram(y, bins=edges)[0]
 
     n_workers = _worker_count(workers, n_experiments)

@@ -1,0 +1,213 @@
+"""generate, the pairs CSV and kernel quadrature work in blocks of
+response._PAIR_BLOCK values; each is pinned bit for bit to the one-shot
+formula at any block size, and its temporaries stay one block in size."""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import unfolder as uf
+from unfolder import response, simulate
+
+from test_response import read_pairs_reference, same_bits
+
+B = response._PAIR_BLOCK
+TRUTHS = [uf.CauchyTruth(0.3, 1.1), uf.GaussianTruth(1.5, 2.0),
+          uf.PowerlawTruth(3.0, 1.0)]
+SMEARINGS = [uf.GaussianSmearing(0.7), uf.CalorimeterSmearing(1.15, 0.055)]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def traced_peak(fn):
+    """Peak bytes traced while `fn()` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def one_shot(sc, rng, n):
+    """generate() as one draw of the whole sample and one histogram per
+    side."""
+    x, y = simulate._sample(sc, rng, n)
+    true_axis, meas_axis = sc.true_axis, sc.meas_axis
+    return (uf.Histogram.from_counts(true_axis, np.histogram(x, bins=true_axis.edges)[0]),
+            uf.Histogram.from_counts(meas_axis, np.histogram(y, bins=meas_axis.edges)[0]),
+            np.column_stack([x, y]),
+            (int(np.sum(x < true_axis.low)), int(np.sum(x > true_axis.high)),
+             int(np.sum(y < meas_axis.low)), int(np.sum(y > meas_axis.high))))
+
+
+def assert_generate_is_one_shot(sc):
+    rng_a, rng_b = np.random.default_rng(sc.seed), np.random.default_rng(sc.seed)
+    got = simulate._generate(sc, rng_a, sc.entries)
+    truth, measured, pairs, tallies = one_shot(sc, rng_b, sc.entries)
+    assert got.pairs.flags.c_contiguous and bits(got.pairs) == bits(pairs)
+    for h, want in ((got.truth_hist, truth), (got.measured, measured)):
+        assert h.axis == want.axis and h.kind == want.kind
+        assert bits(h.contents) == bits(want.contents)
+        assert bits(h.stat_err) == bits(want.stat_err)
+    assert (got.truth_underflow, got.truth_overflow,
+            got.meas_underflow, got.meas_overflow) == tallies
+    assert rng_a.random() == rng_b.random()
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("rebin", [(1.0, 1), (1.5, 2)])
+    @pytest.mark.parametrize("smearing", SMEARINGS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("truth", TRUTHS, ids=lambda t: type(t).__name__)
+    def test_equals_one_shot(self, truth, smearing, rebin, n):
+        assert_generate_is_one_shot(uf.Scenario(
+            truth=truth, smearing=smearing, entries=n, seed=n + 11,
+            meas_axis=uf.Axis.uniform(-2.0, 9.0, 23), rebin=rebin))
+
+    @given(truth=st.sampled_from(TRUTHS),
+           smearing=st.sampled_from(SMEARINGS + [uf.GaussianSmearing(0.0),
+                                                 uf.CalorimeterSmearing(0.0, 0.0)]),
+           n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           rebin=st.sampled_from([(1.0, 1), (2.0, 3)]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_shot_with_blocks_of_seven(self, truth, smearing, n, seed, rebin):
+        with mock.patch.object(simulate, "_PAIR_BLOCK", 7):
+            assert_generate_is_one_shot(uf.Scenario(
+                truth=truth, smearing=smearing, entries=n, seed=seed,
+                meas_axis=uf.Axis.uniform(-1.0, 4.0, 9), rebin=rebin))
+
+    def test_peak_is_the_pairs_and_one_block(self):
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=500_000, seed=3, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
+        peak, res = traced_peak(lambda: uf.generate(sc))
+        assert peak <= 1.25 * res.pairs.nbytes
+
+
+def gauss_cdf(sigma):
+    erf = np.vectorize(math.erf)
+    return lambda y, x: 0.5 * (1.0 + erf((y - x) / (sigma * math.sqrt(2.0))))
+
+
+def jittered(lo, hi, n, seed):
+    edges = np.linspace(lo, hi, n + 1)
+    edges[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 1) * (hi - lo) / n
+    return uf.Axis(edges)
+
+
+def from_kernel_outcome(*args, **kwargs):
+    """The matrix from_kernel builds, or the message it refuses with."""
+    try:
+        return uf.ResponseMatrix.from_kernel(*args, **kwargs).matrix
+    except uf.InvalidKernelError as exc:
+        return str(exc)
+
+
+class TestFromKernel:
+    AXES = {"uniform": (uf.Axis.uniform(-5.0, 5.0, 40), uf.Axis.uniform(-7.0, 7.0, 57)),
+            "jittered": (jittered(-5.0, 5.0, 31, 1), jittered(-7.0, 7.0, 44, 2)),
+            "random": (uf.Axis(np.sort(np.random.default_rng(1).uniform(-5.0, 5.0, 31))),
+                       uf.Axis(np.sort(np.random.default_rng(2).uniform(-7.0, 7.0, 44))))}
+
+    # at sigma 0.8 the midpoint rule puts more than unit mass in some column
+    # of the non-uniform axes, so every budget must refuse with one message
+    @pytest.mark.parametrize("sigma", [0.8, 3.0])
+    @pytest.mark.parametrize("quad_points", [1, 3, 8])
+    @pytest.mark.parametrize("cdf", [False, True], ids=["kernel", "kernel_cdf"])
+    @pytest.mark.parametrize("axes", sorted(AXES))
+    def test_same_matrix_at_every_budget(self, axes, cdf, quad_points, sigma):
+        true_axis, meas_axis = self.AXES[axes]
+        outcomes = []
+        for budget in (1, 64, 65_536, 4_000_000):
+            with mock.patch.object(response, "_PAIR_BLOCK", budget):
+                outcomes.append(from_kernel_outcome(
+                    uf.GaussianSmearing(sigma).kernel(), true_axis, meas_axis,
+                    quad_points=quad_points, kernel_cdf=gauss_cdf(sigma) if cdf else None))
+        if sigma == 3.0 or axes == "uniform":
+            assert isinstance(outcomes[0], np.ndarray)
+        for other in outcomes[1:]:
+            assert type(other) is type(outcomes[0])
+            assert np.array_equal(other, outcomes[0])
+
+    def test_peak_at_400_bins(self):
+        axis = uf.Axis.uniform(-10.0, 10.0, 400)
+        peak, _ = traced_peak(lambda: uf.ResponseMatrix.from_kernel(
+            uf.GaussianSmearing(1.0).kernel(), axis, axis))
+        assert peak <= 10 * 2**20
+
+
+class TestPairsCsv:
+    PAIRS = np.array([[0.5, np.nan], [-0.0, 0.0], [np.inf, 2.5], [-np.inf, -0.0],
+                      [np.nan, np.inf], [1e-300, -np.inf], [1 / 3, 5e-324],
+                      [2.0, 3.0]])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8])
+    def test_same_bytes_and_values_in_blocks_of_three(self, tmp_path, n):
+        pairs = self.PAIRS[:n]
+        uf.write_pairs_csv(tmp_path / "whole.csv", pairs)
+        with mock.patch.object(response, "_PAIR_BLOCK", 3):
+            uf.write_pairs_csv(tmp_path / "blocked.csv", pairs)
+            back = uf.read_pairs_csv(tmp_path / "blocked.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert same_bits(back, uf.read_pairs_csv(tmp_path / "whole.csv"))
+        assert back.shape == (n, 2)
+
+    def test_headers_blanks_and_miss_across_blocks(self, tmp_path):
+        text = ("x,y\n\n\n  \nX , Y\n0.5,miss\n\n-0.0,MISS\nx,y\nx,y\nx,y\n"
+                "nan, -inf\n\n\n\n1e-320 , Miss\r\n+4.5,-0\n\n")
+        path = tmp_path / "pairs.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = read_pairs_reference(path.read_text(encoding="utf-8"))
+        for block in (1, 2, 3, 4, 5, B):
+            with mock.patch.object(response, "_PAIR_BLOCK", block):
+                assert same_bits(uf.read_pairs_csv(path), expected)
+
+    @pytest.mark.parametrize("headers_only", [False, True])
+    def test_no_rows_in_blocks(self, tmp_path, headers_only):
+        path = tmp_path / "pairs.csv"
+        path.write_text("x,y\n\nX,Y\n  \n" * 3 if headers_only else "\n \n\t\n" * 4)
+        with mock.patch.object(response, "_PAIR_BLOCK", 3):
+            back = uf.read_pairs_csv(path)
+        assert back.shape == (0, 2) and back.dtype == np.float64
+
+    @pytest.mark.parametrize("where", range(8))
+    @pytest.mark.parametrize("bad, named", [("1.0", "1.0"), ("1.0,2.0,3.0", "1.0,2.0,3.0"),
+                                            ("abc,1.0", "abc"), ("1.0,miss2", "miss2")])
+    def test_bad_line_on_either_side_of_a_boundary(self, tmp_path, where, bad, named):
+        lines = ["x,y"] + [f"{k}.5,{k}.25" for k in range(8)]
+        lines[1 + where] = bad
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as whole:
+            uf.read_pairs_csv(path)
+        with mock.patch.object(response, "_PAIR_BLOCK", 3):
+            with pytest.raises(ValueError) as blocked:
+                uf.read_pairs_csv(path)
+        assert str(blocked.value) == str(whole.value)
+        assert repr(named) in str(blocked.value)
+
+    def test_error_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("x,y\n0.5,0.5\n1.0\n1.5,1.5\n2.0,2.0\n3.0;3.0\n")
+        for block in (2, 3, B):
+            with mock.patch.object(response, "_PAIR_BLOCK", block):
+                with pytest.raises(ValueError, match="'1.0'"):
+                    uf.read_pairs_csv(path)
+
+    def test_read_peak_is_two_arrays_and_one_block(self, tmp_path):
+        rng = np.random.default_rng(8)
+        pairs = rng.standard_normal((200_000, 2))
+        pairs[::13, 1] = np.nan
+        path = tmp_path / "pairs.csv"
+        uf.write_pairs_csv(path, pairs)
+        peak, back = traced_peak(lambda: uf.read_pairs_csv(path))
+        assert same_bits(back, pairs)
+        assert peak <= 2 * back.nbytes + 24 * 2**20

@@ -26,7 +26,7 @@ def measured_counts(sc, n_experiments, poisson_total):
     for k in range(n_experiments):
         rng = np.random.default_rng(sc.seed + k)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        x = sc.truth.sample(rng, max(n, 1))
+        x = sc.truth.sample(rng, n)
         y = sc.smearing.apply(rng, x)
         rows.append(np.histogram(y, bins=sc.meas_axis.edges)[0])
     return np.vstack(rows).astype(np.float64)

@@ -152,6 +152,32 @@ class TestPseudoExperiments:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.covariance, b.covariance)
 
+    @pytest.mark.parametrize("policy", [uf.StoppingPolicy.fixed(0),
+                                        uf.StoppingPolicy.fixed(3),
+                                        uf.StoppingPolicy.stat_fraction(0.05)])
+    def test_poisson_total_of_zero_draws_no_event(self, policy):
+        # the first Poisson(1) draw of each of these seeds is 0
+        seeds = [s for s in range(100) if np.random.default_rng(s).poisson(1) == 0][:5]
+        sc = flat_scenario(entries=1)
+        rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
+        ens = uf.pseudo_experiments(sc, len(seeds), rm, policy, seeds=seeds)
+        assert len(seeds) == 5
+        assert not ens.mean.any() and not ens.covariance.any()
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_total_is_poisson_at_small_entries(self, entries):
+        # identity response: the total of f is the number of events in range,
+        # Poisson with mean and variance lam
+        sc = flat_scenario(entries=entries)
+        rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
+        n = 4000
+        ens = uf.pseudo_experiments(sc, n, rm, uf.StoppingPolicy.fixed(0))
+        lam = entries * float(np.diff(sc.truth.cdf(sc.meas_axis.edges[[0, -1]]))[0])
+        assert abs(ens.mean.sum() - lam) < 4 * math.sqrt(lam / n)
+        # the variance of a sample variance of Poisson(lam) is about
+        # (lam + 2 lam^2) / n
+        assert abs(ens.covariance.sum() - lam) < 4 * math.sqrt((lam + 2 * lam**2) / n)
+
     def test_needs_two_experiments(self):
         sc = flat_scenario()
         rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
