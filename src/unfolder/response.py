@@ -29,10 +29,13 @@ PEAKED_RESPONSE_RATIO = 1e6
 DEFAULT_QUAD_POINTS = 8
 
 # values per block wherever the work grows with a sample or a grid: pairs
-# counted in from_pairs and drawn in simulate.generate, rows of the pairs
-# CSV, kernel evaluations per chunk in from_kernel.  The temporaries stay
+# counted in from_pairs and drawn in simulate, rows of the pairs CSV read,
+# kernel evaluations per chunk in from_kernel.  The temporaries stay
 # cache-sized and peak memory is the output plus one block.
 _PAIR_BLOCK = 65_536
+# rows of the pairs CSV per string written: a whole block of row strings
+# would hold several MB more
+_CSV_ROWS = 4_096
 
 
 def _median(v):
@@ -314,49 +317,47 @@ class ResponseMatrix:
         return cls.from_dict(_load_json(path))
 
 
-def _uniform_scale(edges):
-    """``n / (hi - lo)`` when `edges` are ``np.linspace(lo, hi, n + 1)``
-    (what :meth:`Axis.uniform` builds) and the guess
-    ``floor((v - lo) * n / (hi - lo))`` is within one bin of the true bin
-    for every v on the axis; None otherwise.
+def _binning(edges):
+    """``(closed, rule)`` for counting values on `edges`.
 
-    The rounding in the guess and in linspace's edges is a few ulps of the
-    span and of the largest |edge|; with 128 of those inside one bin the
-    guess is off by a small fraction of a bin at most.
+    ``searchsorted(closed, v, "right")`` is the slot of v: 1 + its bin, 0
+    below the axis, n + 1 above it (NaN in either); the last edge is an ulp
+    up in `closed`, so the last bin is closed on the right as in
+    ``np.histogram``.  `rule` is ``(lo, s, c)`` or None.  The position
+    ``t = (v - lo) * s``, ``s = n / (hi - lo)``, is two float64 ufuncs,
+    each monotone, so t is non-decreasing in v.  With the edges' own
+    positions T_k (T_0 = 0) and ``δ = max |T_k - k|``, a value in bin k has
+    ``t ∈ [T_k, T_{k+1}] ⊂ [k - δ, k + 1 + δ]``, one below the axis t <= 0,
+    one above it t >= n - δ.  So ``floor(t)`` is the bin wherever t is
+    farther than δ from every integer, i.e. ``|t - floor(t) - 1/2| < c``
+    (the 2**-52 in c covers the rounding of both sides).  No rule when
+    δ >= 1/4, NaN or infinite (from an overflowing or subnormal span).
     """
-    n = edges.size - 1
-    lo, hi = float(edges[0]), float(edges[-1])
-    width = (hi - lo) / n
-    if not (math.isfinite(width) and width >= np.finfo(np.float64).tiny):
-        return None
-    if 128 * np.finfo(np.float64).eps * max(abs(lo), abs(hi), hi - lo) > width:
-        return None
-    if not np.array_equal(edges, np.linspace(lo, hi, n + 1)):
-        return None
-    return n / (hi - lo)
+    n, lo = edges.size - 1, edges[0]
+    closed = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+    with np.errstate(all="ignore"):
+        s = n / (edges[-1] - lo)
+        delta = np.max(np.abs(np.multiply(edges - lo, s) - np.arange(n + 1)))
+    return closed, (lo, s, 0.5 - delta - 2.0 ** -52) if delta < 0.25 else None
 
 
-def _bin_index(v, edges, scale):
-    """1 + the bin of each value, or 0 for NaN, ±inf and values off the
-    axis; bins are left-closed and the last one is closed on the right, as
-    in ``np.histogram``.  `scale` comes from :func:`_uniform_scale`."""
-    n = edges.size - 1
-    lo, hi = edges[0], edges[-1]
-    if scale is None:
-        idx = np.searchsorted(edges, v, side="right")  # NaN sorts last
-        idx -= v == hi
-        idx *= idx <= n
-        return idx
-    # clamp onto the axis (NaN goes to lo), guess, correct by one bin
-    c = np.fmax(v, lo)
-    np.fmin(c, hi, out=c)
-    idx = ((c - lo) * scale).astype(np.intp)
-    np.minimum(idx, n - 1, out=idx)
-    idx -= c < edges[idx]
-    idx += (c >= edges[1:][idx]) & (idx < n - 1)
-    idx += 1
-    idx *= (v >= lo) & (v <= hi)
-    return idx
+def _slots(v, closed, rule, t, out):
+    """Write the slot of each value to the float array `out`, by `rule` where
+    it decides and else by a search; `t` is a work buffer like `out`."""
+    if rule is None:
+        np.copyto(t, v)  # contiguous keys: searchsorted copies nothing
+        out[...] = np.searchsorted(closed, t, side="right")
+        return
+    lo, s, c = rule
+    np.multiply(np.subtract(v, lo, out=t), s, out=t)
+    np.fmax(t, -0.5, out=t)  # NaN and -inf below the axis
+    np.fmin(t, closed.size - 0.5, out=t)  # +inf above it
+    np.floor(t, out=out)
+    np.subtract(t, out, out=t)
+    out += 1
+    np.subtract(t, 0.5, out=t)
+    at = np.flatnonzero(np.abs(t, out=t) >= c)  # t within δ of an integer
+    out[at] = np.searchsorted(closed, v[at], side="right")
 
 
 def _pair_counts(pairs, x_edges, y_edges):
@@ -364,33 +365,36 @@ def _pair_counts(pairs, x_edges, y_edges):
 
     The counts of ``np.histogram(x, x_edges)`` and of
     ``np.histogram2d(y, x, (y_edges, x_edges))`` over the finite-y pairs,
-    taken _PAIR_BLOCK rows at a time.
+    taken _PAIR_BLOCK rows at a time in buffers made once per call.
     """
-    nx, ny = x_edges.size - 1, y_edges.size - 1
-    x_scale, y_scale = _uniform_scale(x_edges), _uniform_scale(y_edges)
-    denom = np.zeros(nx + 1, dtype=np.intp)
-    num = np.zeros((ny + 1) * (nx + 1), dtype=np.intp)
-    for start in range(0, pairs.shape[0], _PAIR_BLOCK):
-        block = pairs[start:start + _PAIR_BLOCK]
-        ix = _bin_index(block[:, 0], x_edges, x_scale)
-        iy = _bin_index(block[:, 1], y_edges, y_scale)
-        denom += np.bincount(ix, minlength=nx + 1)
-        iy *= nx + 1
-        iy += ix
-        num += np.bincount(iy, minlength=num.size)
-    # index 0 on either axis collects the pairs off that axis
-    return denom[1:], num.reshape(ny + 1, nx + 1)[1:, 1:]
+    x_bins, y_bins = _binning(x_edges), _binning(y_edges)
+    nx, size = x_edges.size - 1, min(pairs.shape[0], _PAIR_BLOCK)
+    buffers = [np.empty(size) for _ in range(3)] + [np.empty(size, np.intp)]
+    counts = np.zeros((y_edges.size + 1) * (nx + 2), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for start in range(0, pairs.shape[0], _PAIR_BLOCK):
+            block = pairs[start:start + _PAIR_BLOCK]
+            t, fx, fy, slot = (b[:block.shape[0]] for b in buffers)
+            _slots(block[:, 0], *x_bins, t, fx)
+            _slots(block[:, 1], *y_bins, t, fy)
+            fy *= nx + 2
+            fy += fx
+            np.copyto(slot, fy, casting="unsafe")
+            counts += np.bincount(slot, minlength=counts.size)
+    counts = counts.reshape(-1, nx + 2)
+    return counts.sum(axis=0)[1:-1], counts[1:-1, 1:-1]
 
 
 def write_pairs_csv(path, pairs):
     """Two-column CSV of (x, y) pairs; NaN y is written as the MISS token.
-    The rows are converted and written _PAIR_BLOCK at a time."""
+    The rows are converted and joined _CSV_ROWS at a time, and each such
+    string is written with one call."""
     p = np.asarray(pairs, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for start in range(0, p.shape[0], _PAIR_BLOCK):
-            for x, y in p[start:start + _PAIR_BLOCK].tolist():
-                fh.write(f"{x!r},{repr(y) if math.isfinite(y) else 'MISS'}\n")
+        for start in range(0, p.shape[0], _CSV_ROWS):
+            fh.write("".join([f"{x!r},{repr(y) if math.isfinite(y) else 'MISS'}\n"
+                              for x, y in p[start:start + _CSV_ROWS].tolist()]))
 
 
 def _parse_pairs(lines):

@@ -287,7 +287,8 @@ class GenerateResult:
 
 
 def _sample(sc: Scenario, rng, n):
-    """Draw `n` true values and their measured values from `rng`."""
+    """Draw `n` true values and their measured values from `rng` in one
+    call each, the stream `generate` and `pseudo_experiments` block."""
     x = np.asarray(sc.truth.sample(rng, n), dtype=np.float64)
     y = np.asarray(sc.smearing.apply(rng, x), dtype=np.float64)
     return x, y
@@ -386,11 +387,16 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     edges = sc.meas_axis.edges
 
     def measured_counts(seed):
-        # the draws of generate(), but only the measured side is binned
+        # the draws of generate(): all truth values, then the smearing one
+        # block at a time; only the measured side is binned
         rng = np.random.default_rng(seed)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        _, y = _sample(sc, rng, n)
-        return np.histogram(y, bins=edges)[0]
+        x = sc.truth.sample(rng, n)
+        counts = np.zeros(edges.size - 1, dtype=np.intp)
+        for start in range(0, n, _PAIR_BLOCK):
+            y = sc.smearing.apply(rng, x[start:start + _PAIR_BLOCK])
+            counts += np.histogram(y, bins=edges)[0]
+        return counts
 
     n_workers = _worker_count(workers, n_experiments)
     if n_workers > 1:

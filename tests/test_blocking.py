@@ -1,6 +1,7 @@
-"""generate, the pairs CSV and kernel quadrature work in blocks of
-response._PAIR_BLOCK values; each is pinned bit for bit to the one-shot
-formula at any block size, and its temporaries stay one block in size."""
+"""generate, pseudo_experiments, the pairs CSV and kernel quadrature work
+in blocks of response._PAIR_BLOCK values (the CSV writer in strings of
+response._CSV_ROWS rows); each is pinned bit for bit to the one-shot formula
+at any block size, and its temporaries stay one block in size."""
 
 import math
 import tracemalloc
@@ -92,6 +93,36 @@ class TestGenerate:
         assert peak <= 1.25 * res.pairs.nbytes
 
 
+def ensemble_bits(sc, R, **kwargs):
+    ens = uf.pseudo_experiments(sc, 5, R, uf.StoppingPolicy.fixed(3), **kwargs)
+    return ens.order, bits(ens.mean), bits(ens.covariance)
+
+
+class TestPseudoExperiments:
+    @pytest.mark.parametrize("poisson_total", [True, False])
+    @pytest.mark.parametrize("smearing", SMEARINGS, ids=lambda s: type(s).__name__)
+    def test_same_moments_in_blocks_of_seven(self, smearing, poisson_total):
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0), smearing=smearing,
+                         entries=300, seed=21, meas_axis=uf.Axis.uniform(-1.0, 6.0, 14))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(14) * 0.9)
+        whole = ensemble_bits(sc, R, poisson_total=poisson_total, workers=1)
+        with mock.patch.object(simulate, "_PAIR_BLOCK", 7):
+            for workers in (1, 2):
+                assert ensemble_bits(sc, R, poisson_total=poisson_total,
+                                     workers=workers) == whole
+
+    def test_peak_is_the_truth_draws_and_one_block_per_worker(self):
+        # one side of a sample is 8 MB; the smeared side and the smearing's
+        # temporaries are one block each
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=10**6, seed=5, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(48))
+        peak, _ = traced_peak(lambda: uf.pseudo_experiments(
+            sc, 2, R, uf.StoppingPolicy.fixed(2), workers=2))
+        assert peak <= 2 * (8 * sc.entries * 1.01 + 4 * 2**20)
+
+
 def gauss_cdf(sigma):
     erf = np.vectorize(math.erf)
     return lambda y, x: 0.5 * (1.0 + erf((y - x) / (sigma * math.sqrt(2.0))))
@@ -159,6 +190,18 @@ class TestPairsCsv:
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         assert same_bits(back, uf.read_pairs_csv(tmp_path / "whole.csv"))
         assert back.shape == (n, 2)
+
+    @pytest.mark.parametrize("rows", [3, response._CSV_ROWS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 4_095, 4_096, 4_097, 8_193])
+    def test_written_text_is_one_line_per_row(self, tmp_path, rows, n):
+        pairs = np.resize(self.PAIRS, (n, 2))
+        pairs[n // 2:, 0] += np.arange(n - n // 2) / 7
+        with mock.patch.object(response, "_CSV_ROWS", rows):
+            uf.write_pairs_csv(tmp_path / "pairs.csv", pairs)
+        want = "x,y\n" + "".join(
+            f"{x!r},{y!r}\n" if math.isfinite(y) else f"{x!r},MISS\n"
+            for x, y in pairs.tolist())
+        assert (tmp_path / "pairs.csv").read_bytes() == want.encode()
 
     def test_headers_blanks_and_miss_across_blocks(self, tmp_path):
         text = ("x,y\n\n\n  \nX , Y\n0.5,miss\n\n-0.0,MISS\nx,y\nx,y\nx,y\n"
