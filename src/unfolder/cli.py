@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 inconsistent data,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -56,10 +57,13 @@ def _axis_arg(text):
 def _rebin_arg(text):
     try:
         ext, ref = text.split(",")
-        return float(ext), int(ref)
+        ext, ref = float(ext), int(ref)
     except (ValueError, TypeError):
+        ext = ref = 0
+    if not (1 <= ext < math.inf and ref >= 1):
         raise argparse.ArgumentTypeError(
-            f"expected EXTENSION,REFINE, got {text!r}") from None
+            f"expected EXTENSION,REFINE, finite factors >= 1, got {text!r}")
+    return ext, ref
 
 
 def _stop_arg(text):
@@ -106,8 +110,8 @@ def _check_kernel_options(args):
 
 def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
-        if args.sigma is None or args.sigma <= 0:
-            raise ConfigError("--kernel gauss requires --sigma > 0", field="sigma")
+        if args.sigma is None or not 0 < args.sigma < math.inf:
+            raise ConfigError("--kernel gauss requires a finite --sigma > 0", field="sigma")
         return ResponseMatrix.from_kernel(
             _gaussian_kernel(args.sigma), true_axis, meas_axis,
             quad_points=DEFAULT_QUAD_POINTS if args.quad_points is None else args.quad_points)

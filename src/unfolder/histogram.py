@@ -316,8 +316,8 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
     canonical width to continue a non-uniform one with); refinement works
     for any axis.
     """
-    if extension_factor < 1:
-        raise ValueError("extension_factor must be >= 1")
+    if not 1 <= extension_factor < np.inf:
+        raise ValueError(f"extension_factor must be finite and >= 1, got {extension_factor!r}")
     refine_factor = int(refine_factor)
     if refine_factor < 1:
         raise ValueError("refine_factor must be >= 1")

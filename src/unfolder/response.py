@@ -102,17 +102,13 @@ class ResponseMatrix:
             raise DimensionError(
                 f"matrix shape {m.shape} does not match "
                 f"({meas_axis.nbins} measured x {true_axis.nbins} true) bins")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("response entries must be finite")
-        if np.any(m < 0):
-            raise ValueError("response entries must be non-negative")
+        k = compute_k(m)  # refuses non-finite and negative entries
         col_sums = m.sum(axis=0)
         if np.any(col_sums > 1.0 + COLUMN_SUM_TOL):
             worst = int(np.argmax(col_sums))
             raise ValueError(
                 f"column {worst} sums to {col_sums[worst]:.12g} > 1; entries "
                 "must be migration probabilities")
-        k = compute_k(m)
         if stored and isinstance(k_override, numbers.Real) and \
                 k_override <= k * (1.0 + 1e-12):
             k_override = None

@@ -198,6 +198,9 @@ class Scenario:
     def __post_init__(self):
         if self.entries < 1:
             raise ValueError("entries must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        rebin_axes(self.meas_axis, *self.rebin)  # refuses a bad rebin
 
     @property
     def true_axis(self) -> Axis:
@@ -252,12 +255,12 @@ class Scenario:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
         rebin_cfg = d.get("rebin", {})
-        rebin = (float(rebin_cfg.get("extension_factor", 1.0)),
-                 int(rebin_cfg.get("refine_factor", 1)))
         try:
+            rebin = (float(rebin_cfg.get("extension_factor", 1.0)),
+                     int(rebin_cfg.get("refine_factor", 1)))
             return cls(truth=truth, smearing=smearing, entries=int(entries),
                        seed=int(seed), meas_axis=meas_axis, rebin=rebin)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc), field=None) from exc
 
     def save_json(self, path):
@@ -286,12 +289,17 @@ class GenerateResult:
     meas_overflow: int
 
 
-def _sample(sc: Scenario, rng, n):
-    """Draw `n` true values and their measured values from `rng` in one
-    call each, the stream `generate` and `pseudo_experiments` block."""
-    x = np.asarray(sc.truth.sample(rng, n), dtype=np.float64)
-    y = np.asarray(sc.smearing.apply(rng, x), dtype=np.float64)
-    return x, y
+def _draws(sc: Scenario, rng, x):
+    """Fill `x` with truth draws, then yield each `_PAIR_BLOCK` slice of it
+    with its smeared values.  A numpy Generator fills n values as n
+    successive draws, so this is the stream of one `truth.sample` and one
+    `smearing.apply` call on all of `x`, and only `x` grows with it."""
+    blocks = [slice(start, start + _PAIR_BLOCK)
+              for start in range(0, x.size, _PAIR_BLOCK)]
+    for b in blocks:
+        x[b] = sc.truth.sample(rng, len(x[b]))
+    for b in blocks:
+        yield b, sc.smearing.apply(rng, x[b])
 
 
 def _bin_column(v, axis):
@@ -307,15 +315,9 @@ def _bin_column(v, axis):
 
 
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
-    # the draws of one _sample call, _PAIR_BLOCK at a time: a Generator
-    # fills n values as n successive draws, so only `pairs` grows with n
     pairs = np.empty((n_entries, 2))
-    blocks = [slice(start, start + _PAIR_BLOCK)
-              for start in range(0, n_entries, _PAIR_BLOCK)]
-    for b in blocks:
-        pairs[b, 0] = sc.truth.sample(rng, len(pairs[b]))
-    for b in blocks:
-        pairs[b, 1] = sc.smearing.apply(rng, pairs[b, 0])
+    for b, y in _draws(sc, rng, pairs[:, 0]):
+        pairs[b, 1] = y
     true_axis = sc.true_axis
     tc, *truth_tallies = _bin_column(pairs[:, 0], true_axis)
     mc, *meas_tallies = _bin_column(pairs[:, 1], sc.meas_axis)
@@ -374,6 +376,8 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     experiments and of CPUs); results are bit-identical for any worker
     count.
     """
+    # imported here: concurrent.futures costs a fresh interpreter ~20 ms
+    from concurrent.futures import ThreadPoolExecutor
     from .unfold import init, run, step
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
@@ -387,26 +391,16 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     edges = sc.meas_axis.edges
 
     def measured_counts(seed):
-        # the draws of generate(): all truth values, then the smearing one
-        # block at a time; only the measured side is binned
+        # the draws of generate(); only the measured side is binned
         rng = np.random.default_rng(seed)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        x = sc.truth.sample(rng, n)
         counts = np.zeros(edges.size - 1, dtype=np.intp)
-        for start in range(0, n, _PAIR_BLOCK):
-            y = sc.smearing.apply(rng, x[start:start + _PAIR_BLOCK])
+        for _, y in _draws(sc, rng, np.empty(n)):
             counts += np.histogram(y, bins=edges)[0]
         return counts
 
-    n_workers = _worker_count(workers, n_experiments)
-    if n_workers > 1:
-        # imported here: concurrent.futures costs every fresh interpreter
-        # about 20 ms, and nothing else needs it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            counts = list(pool.map(measured_counts, seeds))
-    else:
-        counts = [measured_counts(seed) for seed in seeds]
+    with ThreadPoolExecutor(max_workers=_worker_count(workers, n_experiments)) as pool:
+        counts = list(pool.map(measured_counts, seeds))
     g_matrix = np.vstack(counts, dtype=np.float64)
 
     first = Histogram.from_counts(sc.meas_axis, counts[0])

@@ -54,6 +54,13 @@ def random_response_matrix(rng, nx, ny, accept=(0.6, 1.0)):
     return a
 
 
+def random_edges(rng, n):
+    """Edges of `n` bins with independent random widths in [0.1, 2) from a
+    random start: for n > 1, almost surely a non-uniform axis."""
+    widths = rng.uniform(0.1, 2.0, n)
+    return rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(widths)])
+
+
 def geometric_sum_iterates(m, first, orders):
     """f_N = sum_{k=0..N} (I - m)^k @ first for each N in `orders`,
     accumulated term by term (independent of the recursive form)."""

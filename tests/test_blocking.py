@@ -40,7 +40,8 @@ def traced_peak(fn):
 def one_shot(sc, rng, n):
     """generate() as one draw of the whole sample and one histogram per
     side."""
-    x, y = simulate._sample(sc, rng, n)
+    x = sc.truth.sample(rng, n)
+    y = sc.smearing.apply(rng, x)
     true_axis, meas_axis = sc.true_axis, sc.meas_axis
     return (uf.Histogram.from_counts(true_axis, np.histogram(x, bins=true_axis.edges)[0]),
             uf.Histogram.from_counts(meas_axis, np.histogram(y, bins=meas_axis.edges)[0]),

@@ -434,3 +434,48 @@ class TestSystAxis:
         assert "measured axis" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestBadFactors:
+    """A non-finite or too small --rebin factor, a non-finite --sigma, and a
+    scenario seed or rebin out of range are usage errors (exit 2) that name
+    the option or field; none reaches the numerics."""
+
+    @pytest.mark.parametrize("rebin", ["inf,1", "nan,1", "-inf,1", "0.5,1", "1.5,0"])
+    def test_rebin_exits_2(self, sim_dir, tmp_path, capsys, rebin):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                    "--kernel", "gauss", "--sigma", "1", f"--rebin={rebin}",
+                    "--stop", "fixed=3", "--out", str(tmp_path / "o.json"))
+        assert exc.value.code == 2
+        assert "--rebin" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["response", "unfold"])
+    def test_sigma_exits_2(self, sim_dir, tmp_path, capsys, command, sigma):
+        where = (["--meas-axis=-10:10:100"] if command == "response" else
+                 ["--measured", str(sim_dir / "measured.json"), "--stop", "fixed=3"])
+        assert run_cli(command, "--kernel", "gauss", f"--sigma={sigma}", *where,
+                       "--out", str(tmp_path / "o.json")) == 2
+        assert "(field: sigma)" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"seed": -1}, "seed"),
+        ({"rebin": {"extension_factor": float("inf"), "refine_factor": 1}}, "extension_factor"),
+        ({"rebin": {"extension_factor": float("nan"), "refine_factor": 1}}, "extension_factor"),
+        ({"rebin": {"extension_factor": 0.5, "refine_factor": 1}}, "extension_factor"),
+        ({"rebin": {"extension_factor": 1.0, "refine_factor": 0}}, "refine_factor"),
+        ({"rebin": {"extension_factor": 1.0, "refine_factor": float("inf")}}, "infinity")])
+    def test_scenario_exits_2(self, tmp_path, capsys, change, field):
+        # json writes inf and nan as the Infinity and NaN tokens, which it reads
+        config ={"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},
+                  "smearing": {"type": "gaussian_convolution", "sigma": 1.0},
+                  "entries": 100, "seed": 1,
+                  "meas_axis": {"low": -5.0, "high": 5.0, "nbins": 10}, **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o" / "measured.json").exists()

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unfolder as uf
@@ -12,8 +12,7 @@ from unfolder import response
 from unfolder.errors import (ConstructionError, DegenerateOperatorError,
                              DimensionError, InvalidKernelError)
 
-from _oracles import (erf_response_matrix, power_iter_lambda_max,
-                      random_response_matrix)
+from _oracles import erf_response_matrix, random_edges, random_response_matrix
 
 
 def gauss_kernel(sigma):
@@ -29,14 +28,21 @@ class TestComputeK:
         # AtA of [[.5,.5],[.5,.5]] is itself; both column sums are 1
         assert uf.compute_k([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(1.0, abs=1e-15)
 
-    def test_bounds_spectral_radius(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            n = rng.integers(2, 12)
-            a = rng.uniform(0.0, 1.0, (rng.integers(2, 12), n))
-            k = uf.compute_k(a)
-            lam = power_iter_lambda_max(a.T @ a)
-            assert k + 1e-9 >= lam
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 12), ny=st.integers(1, 12),
+           accept=st.floats(0.0, 1.0), sparsity=st.floats(0.0, 0.9))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bounds_spectral_radius(self, seed, nx, ny, accept, sparsity):
+        # a response built directly, entries zeroed at random (one is kept)
+        rng = np.random.default_rng(seed)
+        a = random_response_matrix(rng, nx, ny, accept=(accept, 1.0))
+        zero = rng.random(a.shape) < sparsity
+        zero[rng.integers(ny), rng.integers(nx)] = False
+        a[zero] = 0.0
+        rm = uf.ResponseMatrix(uf.Axis(random_edges(rng, nx)),
+                               uf.Axis(random_edges(rng, ny)), a)
+        lam = float(np.linalg.eigvalsh(a.T @ a).max())
+        assert rm.k_factor >= lam * (1.0 - 1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateOperatorError):
@@ -346,17 +352,28 @@ class TestApply:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ax_t = uf.Axis.uniform(0, 1, 3)
-        ax_m = uf.Axis.uniform(-1, 1, 4)
-        rm = uf.ResponseMatrix(ax_t, ax_m, random_response_matrix(rng, 3, 4))
-        path = tmp_path / "r.json"
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 12), ny=st.integers(1, 12),
+           above=st.none() | st.floats(0.0, 3.0) | st.floats(0.0, 2e-12))
+    @example(seed=9, nx=3, ny=4, above=1e-13)
+    @settings(max_examples=150, deadline=None)
+    def test_json_roundtrip(self, tmp_path_factory, seed, nx, ny, above):
+        # bit-exact matrix, axes and K, with or without a k_override of
+        # (1 + above) K.  A stored factor above K by rounding only (1e-12
+        # relative) is not kept: above=1e-13 loads back as K, not the override
+        rng = np.random.default_rng(seed)
+        ax_t, ax_m = uf.Axis(random_edges(rng, nx)), uf.Axis(random_edges(rng, ny))
+        a = random_response_matrix(rng, nx, ny)
+        k = uf.compute_k(a)
+        override = None if above is None else k * (1.0 + above)
+        rm = uf.ResponseMatrix(ax_t, ax_m, a, k_override=override)
+        kept = override is not None and override > k * (1.0 + 1e-12)
+        path = tmp_path_factory.mktemp("rt") / "r.json"
         rm.save_json(path)
         back = uf.ResponseMatrix.load_json(path)
-        np.testing.assert_array_equal(back.matrix, rm.matrix)
-        assert back.k_factor == rm.k_factor
-        assert back.true_axis == ax_t and back.meas_axis == ax_m
+        assert same_bits(back.matrix, rm.matrix)
+        assert same_bits(back.true_axis.edges, ax_t.edges)
+        assert same_bits(back.meas_axis.edges, ax_m.edges)
+        assert float_bits(back.k_factor) == float_bits(rm.k_factor if kept else k)
 
     def test_json_roundtrip_keeps_override(self, tmp_path):
         ax = uf.Axis.uniform(0, 1, 2)

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unfolder as uf
 from unfolder.errors import (DecompositionError, DimensionError,
                              NumericalFailureError)
 
-from _oracles import geometric_sum_iterates, random_response_matrix
+from _oracles import geometric_sum_iterates, random_edges, random_response_matrix
 
 
 def make_system(rng, n, accept=(0.6, 1.0)):
@@ -215,20 +216,27 @@ class TestRun:
         assert out.stopped_at == 0 and len(out.trace) == 1
         assert out.result.unfolded and out.result.kind == g.kind
 
-    def test_fixed_n_linearity(self):
-        rng = np.random.default_rng(21)
-        ax, rm = make_system(rng, 6)
-        policy = uf.StoppingPolicy.fixed(7)
-        for _ in range(10):
-            g1 = rng.uniform(0.5, 2, 6)
-            g2 = rng.uniform(0.5, 2, 6)
-            al, be = rng.uniform(0.2, 1.5, 2)
-            run_of = lambda v: uf.run(
-                rm, uf.Histogram(ax, v, stat_err=np.zeros(6), unfolded=True),
-                policy).result.contents
-            lhs = run_of(al * g1 + be * g2)
-            rhs = al * run_of(g1) + be * run_of(g2)
-            assert np.abs(lhs - rhs).max() < 1e-10
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 10),
+           ny=st.integers(1, 10), order=st.integers(0, 30),
+           al=st.floats(-10.0, 10.0), be=st.floats(-10.0, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_n_linearity(self, seed, nx, ny, order, al, be):
+        # run(al g1 + be g2) = al run(g1) + be run(g2) up to rounding, which
+        # grows with the order and the size of the inputs
+        rng = np.random.default_rng(seed)
+        true_axis, meas_axis = uf.Axis(random_edges(rng, nx)), uf.Axis(random_edges(rng, ny))
+        rm = uf.ResponseMatrix(true_axis, meas_axis, random_response_matrix(rng, nx, ny))
+        g1, g2 = rng.uniform(0.0, 100.0, (2, ny))
+        policy = uf.StoppingPolicy.fixed(order)
+
+        def run_of(v):
+            g = uf.Histogram(meas_axis, v, stat_err=np.zeros(ny), unfolded=True)
+            return uf.run(rm, g, policy).result.contents
+
+        lhs = run_of(al * g1 + be * g2)
+        rhs = al * run_of(g1) + be * run_of(g2)
+        scale = abs(al) * g1.max() + abs(be) * g2.max()
+        assert np.abs(lhs - rhs).max() <= 1e-12 * (order + 1) * scale
 
     def test_stat_fraction_stops_at_smallest_qualifying_order(self, demo_response,
                                                               demo_scenario):

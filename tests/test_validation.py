@@ -162,3 +162,32 @@ class TestNonFiniteScenarioParameters:
             {"type": "gaussian", "mean": 1.5, "sigma": 0.5},
             {"type": "calorimeter", "stochastic_a": 0.5, "constant_b": 0.01}))
         assert np.isfinite(uf.generate(sc).pairs).all()
+
+
+class TestScenarioRanges:
+    """A non-finite extension factor overflowed (inf) or was ignored (NaN),
+    and a negative seed failed inside numpy; each is refused when the
+    scenario is built (ValueError), and so by Scenario.from_dict
+    (ConfigError, CLI exit 2)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5])
+    def test_rebin_axes_refuses_extension(self, bad):
+        with pytest.raises(ValueError, match="extension_factor"):
+            uf.rebin_axes(uf.Axis.uniform(-1.0, 1.0, 4), bad, 1)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"seed": -1}, "seed"),
+        ({"rebin": (np.inf, 1)}, "extension_factor"),
+        ({"rebin": (np.nan, 1)}, "extension_factor"),
+        ({"rebin": (1.0, 0)}, "refine_factor")])
+    def test_scenario_refuses(self, change, match):
+        kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
+                  "entries": 10, "seed": 1, "meas_axis": AXIS, **change}
+        with pytest.raises(ValueError, match=match):
+            uf.Scenario(**kwargs)
+        d = scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING)
+        d["seed"] = kwargs["seed"]
+        d["rebin"] = dict(zip(("extension_factor", "refine_factor"),
+                              kwargs.get("rebin", (1.0, 1))))
+        with pytest.raises(uf.ConfigError, match=match):
+            uf.Scenario.from_dict(d)
