@@ -302,28 +302,27 @@ def _draws(sc: Scenario, rng, x):
         yield b, sc.smearing.apply(rng, x[b])
 
 
-def _bin_column(v, axis):
-    """Counts of `v` on `axis`, and how many values fall below and above
-    it, taken _PAIR_BLOCK values at a time."""
-    counts, below, above = np.zeros(axis.nbins, dtype=np.intp), 0, 0
-    for start in range(0, v.size, _PAIR_BLOCK):
-        block = v[start:start + _PAIR_BLOCK]
-        counts += np.histogram(block, bins=axis.edges)[0]
-        below += int(np.sum(block < axis.low))
-        above += int(np.sum(block > axis.high))
-    return counts, below, above
+def _tally(v, edges):
+    """``[below, count per bin..., above]`` of `v` on `edges`, counted as
+    ``np.histogram`` counts array bins (sort, one search of the edges): the
+    last bin is closed, `below` and `above` count values off the axis (±inf
+    included) and NaN counts in neither.  Sorts `v` in place."""
+    v.sort()
+    keys = np.append(edges[:-1], (np.nextafter(edges[-1], np.inf), np.nan))
+    return np.diff(v.searchsorted(keys), prepend=0)
 
 
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
+    true_axis, meas_axis = sc.true_axis, sc.meas_axis
     pairs = np.empty((n_entries, 2))
+    tc, mc = (np.zeros(a.nbins + 2, dtype=np.intp) for a in (true_axis, meas_axis))
     for b, y in _draws(sc, rng, pairs[:, 0]):
         pairs[b, 1] = y
-    true_axis = sc.true_axis
-    tc, *truth_tallies = _bin_column(pairs[:, 0], true_axis)
-    mc, *meas_tallies = _bin_column(pairs[:, 1], sc.meas_axis)
-    return GenerateResult(Histogram.from_counts(true_axis, tc),
-                          Histogram.from_counts(sc.meas_axis, mc),
-                          pairs, *truth_tallies, *meas_tallies)
+        tc += _tally(pairs[b, 0].copy(), true_axis.edges)
+        mc += _tally(y, meas_axis.edges)
+    return GenerateResult(Histogram.from_counts(true_axis, tc[1:-1]),
+                          Histogram.from_counts(meas_axis, mc[1:-1]), pairs,
+                          int(tc[0]), int(tc[-1]), int(mc[0]), int(mc[-1]))
 
 
 def generate(sc: Scenario) -> GenerateResult:
@@ -394,10 +393,10 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
         # the draws of generate(); only the measured side is binned
         rng = np.random.default_rng(seed)
         n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        counts = np.zeros(edges.size - 1, dtype=np.intp)
+        counts = np.zeros(edges.size + 1, dtype=np.intp)
         for _, y in _draws(sc, rng, np.empty(n)):
-            counts += np.histogram(y, bins=edges)[0]
-        return counts
+            counts += _tally(y, edges)
+        return counts[1:-1]
 
     with ThreadPoolExecutor(max_workers=_worker_count(workers, n_experiments)) as pool:
         counts = list(pool.map(measured_counts, seeds))

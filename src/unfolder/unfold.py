@@ -13,7 +13,8 @@ statistical errors exactly: ``C_N = E_N E_Nᵀ`` is the covariance of ``f_N``.
 Three error measures are tracked per iteration order N:
 
 * a bias bound, falling as ``1/(N+2)``,
-* the integrated statistical error ``sum_i sqrt(C_N[i, i])``, non-decreasing,
+* the integrated statistical error ``sum_i sqrt(C_N[i, i])``; ``trace(C_N)``
+  is non-decreasing, the integral mostly grows too but can fall slightly,
 * a systematic bound, growing with the harmonic number ``H_{N+1}``.
 
 The iteration order is the only regularization parameter; the trade-off

@@ -1,7 +1,8 @@
 """generate, pseudo_experiments, the pairs CSV and kernel quadrature work
 in blocks of response._PAIR_BLOCK values (the CSV writer in strings of
 response._CSV_ROWS rows); each is pinned bit for bit to the one-shot formula
-at any block size, and its temporaries stay one block in size."""
+at any block size, and its temporaries stay one block in size.  The sampled
+blocks are binned by simulate._tally, pinned to np.histogram here."""
 
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import unfolder as uf
 from unfolder import response, simulate
 
+from _oracles import random_edges
 from test_response import read_pairs_reference, same_bits
 
 B = response._PAIR_BLOCK
@@ -92,6 +94,44 @@ class TestGenerate:
                          entries=500_000, seed=3, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
         peak, res = traced_peak(lambda: uf.generate(sc))
         assert peak <= 1.25 * res.pairs.nbytes
+
+
+def tally_reference(v, edges):
+    """np.histogram's counts between the values under and over the axis."""
+    return np.concatenate([[np.sum(v < edges[0])], np.histogram(v, bins=edges)[0],
+                           [np.sum(v > edges[-1])]])
+
+
+@st.composite
+def values_and_edges(draw):
+    """Edges (random, through zero, or out to the largest double) and values
+    on them, one ulp either side, ±0, ±inf, NaN and anything else."""
+    edges = draw(st.one_of(
+        st.builds(lambda seed, n: random_edges(np.random.default_rng(seed), n),
+                  st.integers(0, 2**32 - 1), st.integers(1, 8)),
+        st.just(np.arange(-2.0, 3.0)),
+        st.just(np.array([-np.finfo(float).max, 0.0, np.finfo(float).max]))))
+    with np.errstate(over="ignore"):  # one ulp past the largest double is inf
+        near = [v for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    value = st.one_of(st.sampled_from(near + [0.0, -0.0, np.inf, -np.inf, np.nan]),
+                      st.floats(edges[0] - 1.0, edges[-1] + 1.0), st.floats())
+    return np.array(draw(st.lists(value, max_size=40)), dtype=np.float64), edges
+
+
+class TestTally:
+    @given(case=values_and_edges())
+    @settings(max_examples=300, deadline=None)
+    def test_is_histogram_and_tallies_split_anywhere(self, case):
+        v, edges = case
+        want, whole = tally_reference(v, edges), v.copy()
+        with np.errstate(over="ignore"):
+            got = simulate._tally(whole, edges)
+            assert got.dtype == np.intp and np.array_equal(got, want)
+            assert bits(whole) == bits(np.sort(v))
+            for k in range(v.size + 1):
+                parts = (simulate._tally(v[:k].copy(), edges)
+                         + simulate._tally(v[k:].copy(), edges))
+                assert np.array_equal(parts, want)
 
 
 def ensemble_bits(sc, R, **kwargs):

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unfolder as uf
 from unfolder.errors import DimensionError, NormalizationError
+from unfolder.histogram import KINDS
 
 
 class TestAxis:
@@ -184,6 +186,33 @@ class TestSerialization:
         np.testing.assert_array_equal(back.syst_err, h.syst_err)
         assert back.axis == h.axis
         assert back.kind == "mass" and back.unfolded
+
+    @given(data=st.data(), kind=st.sampled_from(KINDS),
+           unfolded=st.booleans(), n=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_json_roundtrip_property(self, tmp_path_factory, data, kind, unfolded, n):
+        # any finite edges, contents (negative ones only when unfolded) and
+        # errors, -0.0 and subnormals included, load back bit for bit
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        edges = sorted(data.draw(st.lists(finite, min_size=n + 1, max_size=n + 1,
+                                          unique=True)))
+        content = finite if unfolded else st.floats(0.0, allow_infinity=False)
+        errors = st.one_of(st.none(), st.lists(st.floats(0.0, allow_infinity=False),
+                                               min_size=n, max_size=n))
+        h = uf.Histogram(uf.Axis(edges), data.draw(st.lists(content, min_size=n, max_size=n)),
+                         stat_err=data.draw(errors), syst_err=data.draw(errors),
+                         kind=kind, unfolded=unfolded)
+        path = tmp_path_factory.mktemp("h") / "h.json"
+        h.save_json(path)
+        back = uf.Histogram.load_json(path)
+        for name in ("contents", "stat_err", "syst_err"):
+            want, got = getattr(h, name), getattr(back, name)
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+        assert back.axis.edges.tobytes() == h.axis.edges.tobytes()
+        assert (back.kind, back.unfolded) == (kind, unfolded)
+        back.save_json(path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
     def test_json_optional_fields(self, tmp_path):
         h = uf.Histogram(uf.Axis.uniform(0, 1, 2), [1.0, 2.0])

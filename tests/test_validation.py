@@ -175,6 +175,15 @@ class TestScenarioRanges:
         with pytest.raises(ValueError, match="extension_factor"):
             uf.rebin_axes(uf.Axis.uniform(-1.0, 1.0, 4), bad, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0, 0.5])
+    def test_rebin_axes_refuses_refinement(self, bad):
+        # refused by name before int() can raise its own conversion errors
+        with pytest.raises(ValueError, match="refine_factor"):
+            uf.rebin_axes(uf.Axis.uniform(-1.0, 1.0, 4), 1.0, bad)
+        with pytest.raises(ValueError, match="refine_factor"):
+            uf.Scenario(truth=uf.CauchyTruth(), smearing=uf.GaussianSmearing(1.0),
+                        entries=10, seed=1, meas_axis=AXIS, rebin=(1.0, bad))
+
     @pytest.mark.parametrize("change, match", [
         ({"seed": -1}, "seed"),
         ({"rebin": (np.inf, 1)}, "extension_factor"),
