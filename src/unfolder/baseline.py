@@ -22,6 +22,19 @@ from .response import ResponseMatrix
 RANK_CUTOFF = 1e-12
 
 
+def _large(s):
+    """The singular values that count as nonzero."""
+    return s > RANK_CUTOFF * np.max(s)
+
+
+def _filtered_pinv(u, s, vt, phi):
+    """``V diag(phi/s) Uᵀ`` from the thin SVD ``u, s, vt``, 0 where s == 0;
+    with ``phi`` 1 on the large singular values and 0 elsewhere it is
+    ``np.linalg.pinv(a, rcond=RANK_CUTOFF)`` step for step, so bit-identical."""
+    d = np.divide(phi, s, out=np.zeros_like(s), where=s > 0)
+    return vt.T @ (d[:, None] * u.T)
+
+
 def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
     """Least-squares solution of ``A f = g`` with no regularization.
 
@@ -32,18 +45,15 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
     """
     if g.axis != R.meas_axis:
         raise DimensionError("measured histogram is not on the response's measured axis")
-    # one factorisation for the rank and the pseudo-inverse; the latter is
-    # np.linalg.pinv(a, rcond=RANK_CUTOFF) step for step, so bit-identical
+    # one factorisation for the rank and the pseudo-inverse
     u, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
-    large = s > RANK_CUTOFF * np.max(s)
+    large = _large(s)
     rank = int(np.count_nonzero(large))
     if rank < R.true_axis.nbins:
         warnings.warn(
             f"response rank {rank} < {R.true_axis.nbins} true bins; "
             "returning the minimum-norm solution", RuntimeWarning)
-    np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    pinv = vt.T @ (s[:, None] * u.T)
+    pinv = _filtered_pinv(u, s, vt, np.where(large, 1.0, 0.0))
     f = pinv @ g.contents
     stat = None
     if g.stat_err is not None:
@@ -53,11 +63,9 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
 
 def kernel_projector(R: ResponseMatrix) -> np.ndarray:
     """Orthogonal projector onto the null space of the response matrix."""
-    _, singular, vt = np.linalg.svd(R.matrix, full_matrices=True)
-    cutoff = RANK_CUTOFF * (singular[0] if singular.size else 0.0)
-    rank = int(np.sum(singular > cutoff))
-    null_basis = vt[rank:].T
-    return null_basis @ null_basis.T
+    _, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
+    row_space = vt[_large(s)]
+    return np.eye(R.true_axis.nbins) - row_space.T @ row_space
 
 
 def kernel_projection(R: ResponseMatrix, f) -> np.ndarray:
@@ -75,6 +83,6 @@ def kernel_projection(R: ResponseMatrix, f) -> np.ndarray:
 def condition_number(R: ResponseMatrix) -> float:
     """sigma_max / sigma_min of the response; inf when rank deficient."""
     singular = np.linalg.svd(R.matrix, compute_uv=False)
-    if singular[-1] <= RANK_CUTOFF * singular[0]:
+    if not _large(singular).all():
         return math.inf
     return float(singular[0] / singular[-1])

@@ -318,8 +318,9 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
     """
     if not 1 <= extension_factor < np.inf:
         raise ValueError(f"extension_factor must be finite and >= 1, got {extension_factor!r}")
-    if not 1 <= refine_factor < np.inf:
-        raise ValueError(f"refine_factor must be finite and >= 1, got {refine_factor!r}")
+    if not 1 <= refine_factor < np.inf or refine_factor != int(refine_factor):
+        raise ValueError(
+            f"refine_factor must be a finite integer >= 1, got {refine_factor!r}")
     refine_factor = int(refine_factor)
     edges = measured_axis.edges
     if extension_factor > 1:

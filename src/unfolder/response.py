@@ -313,6 +313,14 @@ class ResponseMatrix:
         return cls.from_dict(_load_json(path))
 
 
+def _closed_edges(edges, *after):
+    """`edges` with the last one an ulp up, so that a right-side search of
+    them closes the last bin as ``np.histogram`` does (+inf above the
+    largest double), followed by `after`."""
+    with np.errstate(over="ignore"):
+        return np.append(edges[:-1], (np.nextafter(edges[-1], np.inf), *after))
+
+
 def _binning(edges):
     """``(closed, rule)`` for counting values on `edges`.
 
@@ -330,7 +338,7 @@ def _binning(edges):
     δ >= 1/4, NaN or infinite (from an overflowing or subnormal span).
     """
     n, lo = edges.size - 1, edges[0]
-    closed = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+    closed = _closed_edges(edges)
     with np.errstate(all="ignore"):
         s = n / (edges[-1] - lo)
         delta = np.max(np.abs(np.multiply(edges - lo, s) - np.arange(n + 1)))

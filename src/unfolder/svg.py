@@ -126,13 +126,10 @@ def render(series, x_label="", y_label="", title="", log_y=False) -> str:
         h = s.histogram
         edges = h.axis.edges
         contents = h.contents
-        pts = [f"{px(edges[0]):.2f},{py(contents[0]):.2f}"]
-        for i in range(h.nbins):
-            y = py(contents[i])
-            pts.append(f"{px(edges[i]):.2f},{y:.2f}")
-            pts.append(f"{px(edges[i + 1]):.2f},{y:.2f}")
+        pts = [f"{px(x):.2f},{py(c):.2f}"
+               for c, lo, hi in zip(contents, edges, edges[1:]) for x in (lo, hi)]
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-        out.append(f'<polyline points="{" ".join(pts[1:])}" fill="none" '
+        out.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"{dash}/>')
         if s.error_bars and h.stat_err is not None:
             centers = h.axis.centers

@@ -12,7 +12,12 @@ statistical errors exactly: ``C_N = E_N E_Nᵀ`` is the covariance of ``f_N``.
 
 Three error measures are tracked per iteration order N:
 
-* a bias bound, falling as ``1/(N+2)``,
+* a bias bound, the paper's ``||f|| / (sqrt(v) (N+2))`` with the norm of
+  the current iterate ``||f_N||`` in place of the unknown ``||f||``.  It
+  does not bound the deviation from the limit, which falls as ``1/(N+2)``
+  times ``||h||`` for a limit ``K⁻¹AᵀA h``, not times ``||f||`` (for
+  ``A = [[0.6, 0.4], [0.4, 0.6]]`` and ``f = (1, 0)`` it is
+  ``0.5 * 0.96^(N+1)`` per bin),
 * the integrated statistical error ``sum_i sqrt(C_N[i, i])``; ``trace(C_N)``
   is non-decreasing, the integral mostly grows too but can fall slightly,
 * a systematic bound, growing with the harmonic number ``H_{N+1}``.

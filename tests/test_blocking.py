@@ -111,27 +111,27 @@ def values_and_edges(draw):
                   st.integers(0, 2**32 - 1), st.integers(1, 8)),
         st.just(np.arange(-2.0, 3.0)),
         st.just(np.array([-np.finfo(float).max, 0.0, np.finfo(float).max]))))
-    with np.errstate(over="ignore"):  # one ulp past the largest double is inf
-        near = [v for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    # math.nextafter takes the largest double one ulp up to inf silently
+    near = [v for e in edges for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
     value = st.one_of(st.sampled_from(near + [0.0, -0.0, np.inf, -np.inf, np.nan]),
                       st.floats(edges[0] - 1.0, edges[-1] + 1.0), st.floats())
     return np.array(draw(st.lists(value, max_size=40)), dtype=np.float64), edges
 
 
 class TestTally:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(case=values_and_edges())
     @settings(max_examples=300, deadline=None)
     def test_is_histogram_and_tallies_split_anywhere(self, case):
         v, edges = case
         want, whole = tally_reference(v, edges), v.copy()
-        with np.errstate(over="ignore"):
-            got = simulate._tally(whole, edges)
-            assert got.dtype == np.intp and np.array_equal(got, want)
-            assert bits(whole) == bits(np.sort(v))
-            for k in range(v.size + 1):
-                parts = (simulate._tally(v[:k].copy(), edges)
-                         + simulate._tally(v[k:].copy(), edges))
-                assert np.array_equal(parts, want)
+        got = simulate._tally(whole, edges)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+        assert bits(whole) == bits(np.sort(v))
+        for k in range(v.size + 1):
+            parts = (simulate._tally(v[:k].copy(), edges)
+                     + simulate._tally(v[k:].copy(), edges))
+            assert np.array_equal(parts, want)
 
 
 def ensemble_bits(sc, R, **kwargs):

@@ -1,10 +1,12 @@
 """pseudo_experiments propagates the ensemble's moments through the
-reference recursion; pinned to the per-experiment iteration."""
+SVD-filtered operator B_N; pinned to the per-experiment iteration and to the
+covariance recursion started from the identity."""
 
 import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder.unfold import init, step
 
 from _oracles import random_response_matrix
 
@@ -19,6 +21,33 @@ def response(sc, nx=9, seed=17):
     """Random column-substochastic response onto a different true axis."""
     a = random_response_matrix(np.random.default_rng(seed), nx, sc.meas_axis.nbins)
     return uf.ResponseMatrix(uf.Axis.uniform(-3.5, 4.5, nx), sc.meas_axis, a)
+
+
+def shaped_response(sc, kind):
+    """Responses on the scenario's 11 measured bins: more and fewer true
+    bins, a duplicated column (rank 10 of 11), the identity (every s²/K is
+    1) and the identity with K 1e-12 below the computed 1 (every s²/K just
+    above 1)."""
+    ny = sc.meas_axis.nbins
+    if kind == "identity":
+        return uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(ny))
+    if kind == "k-below":
+        return uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(ny),
+                                 k_override=1 - 1e-12)
+    nx = {"nx>ny": 15, "nx<ny": 7}.get(kind, ny)
+    a = random_response_matrix(np.random.default_rng(23), nx, ny)
+    if kind == "rank-deficient":
+        a[:, 5] = a[:, 4]
+    return uf.ResponseMatrix(uf.Axis.uniform(-3.5, 4.5, nx), sc.meas_axis, a)
+
+
+def step_from_identity(R, order):
+    """B_N as the e_n of the covariance recursion started from the identity."""
+    ny = R.meas_axis.nbins
+    state = init(R, uf.Histogram(R.meas_axis, np.zeros(ny)), covariance=np.eye(ny))
+    for _ in range(order):
+        state = step(state)
+    return state.e_n
 
 
 def measured_counts(sc, n_experiments, poisson_total):
@@ -71,3 +100,20 @@ def test_worker_count_does_not_change_moments(order):
     assert np.array_equal(one.mean, two.mean)
     assert np.array_equal(one.covariance, two.covariance)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("order", [0, 1, 30, 300])
+@pytest.mark.parametrize("kind", ["nx>ny", "nx<ny", "rank-deficient",
+                                  "identity", "k-below"])
+def test_moments_match_step_recursion_from_identity(kind, order):
+    sc = scenario()
+    R = shaped_response(sc, kind)
+    ens = uf.pseudo_experiments(sc, 40, R, uf.StoppingPolicy.fixed(order), workers=1)
+    g = measured_counts(sc, 40, True)
+    b = step_from_identity(R, order)
+    mean, cov = b @ g.mean(axis=0), b @ np.cov(g, rowvar=False) @ b.T
+    assert ens.order == order
+    np.testing.assert_allclose(ens.mean, mean, rtol=1e-10,
+                               atol=1e-10 * np.abs(mean).max())
+    np.testing.assert_allclose(ens.covariance, cov, rtol=1e-10,
+                               atol=1e-10 * np.abs(cov).max())

@@ -91,6 +91,16 @@ def test_matrix_equals_histogram_formula(true_axis, meas_axis, n, seed):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_last_edge_at_the_largest_double_is_closed_silently():
+    big = np.finfo(float).max
+    edges = np.array([-big, 0.0, big])
+    v = np.array([-np.inf, -big, -1.0, 0.0, big, np.inf])
+    true_counts, joint = response._pair_counts(np.column_stack([v, v]), edges, edges)
+    assert true_counts.tolist() == [2, 2]
+    assert joint.tolist() == [[2, 0], [0, 2]]
+
+
 def test_both_paths_are_exercised():
     assert response._binning(uf.Axis.uniform(0.0, 24.0, 48).edges)[1] is not None
     # not uniform: the edges' positions are 1/3 of a bin off

@@ -175,7 +175,7 @@ class TestScenarioRanges:
         with pytest.raises(ValueError, match="extension_factor"):
             uf.rebin_axes(uf.Axis.uniform(-1.0, 1.0, 4), bad, 1)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0, 0.5, 2.9])
     def test_rebin_axes_refuses_refinement(self, bad):
         # refused by name before int() can raise its own conversion errors
         with pytest.raises(ValueError, match="refine_factor"):
@@ -184,11 +184,18 @@ class TestScenarioRanges:
             uf.Scenario(truth=uf.CauchyTruth(), smearing=uf.GaussianSmearing(1.0),
                         entries=10, seed=1, meas_axis=AXIS, rebin=(1.0, bad))
 
+    def test_integral_float_refine_factor_is_read_as_int(self):
+        d = scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING)
+        d["rebin"] = {"extension_factor": 1.0, "refine_factor": 2.0}
+        assert uf.Scenario.from_dict(d).rebin == (1.0, 2)
+        assert uf.rebin_axes(AXIS, 1.0, 2.0) == uf.rebin_axes(AXIS, 1.0, 2)
+
     @pytest.mark.parametrize("change, match", [
         ({"seed": -1}, "seed"),
         ({"rebin": (np.inf, 1)}, "extension_factor"),
         ({"rebin": (np.nan, 1)}, "extension_factor"),
-        ({"rebin": (1.0, 0)}, "refine_factor")])
+        ({"rebin": (1.0, 0)}, "refine_factor"),
+        ({"rebin": (1.0, 2.9)}, "refine_factor")])
     def test_scenario_refuses(self, change, match):
         kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
                   "entries": 10, "seed": 1, "meas_axis": AXIS, **change}
