@@ -27,14 +27,6 @@ def _large(s):
     return s > RANK_CUTOFF * np.max(s)
 
 
-def _filtered_pinv(u, s, vt, phi):
-    """``V diag(phi/s) Uᵀ`` from the thin SVD ``u, s, vt``, 0 where s == 0;
-    with ``phi`` 1 on the large singular values and 0 elsewhere it is
-    ``np.linalg.pinv(a, rcond=RANK_CUTOFF)`` step for step, so bit-identical."""
-    d = np.divide(phi, s, out=np.zeros_like(s), where=s > 0)
-    return vt.T @ (d[:, None] * u.T)
-
-
 def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
     """Least-squares solution of ``A f = g`` with no regularization.
 
@@ -45,7 +37,8 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
     """
     if g.axis != R.meas_axis:
         raise DimensionError("measured histogram is not on the response's measured axis")
-    # one factorisation for the rank and the pseudo-inverse
+    # one factorisation for the rank and the pseudo-inverse; the latter is
+    # np.linalg.pinv(a, rcond=RANK_CUTOFF) step for step, so bit-identical
     u, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
     large = _large(s)
     rank = int(np.count_nonzero(large))
@@ -53,7 +46,9 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
         warnings.warn(
             f"response rank {rank} < {R.true_axis.nbins} true bins; "
             "returning the minimum-norm solution", RuntimeWarning)
-    pinv = _filtered_pinv(u, s, vt, np.where(large, 1.0, 0.0))
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = vt.T @ (s[:, None] * u.T)
     f = pinv @ g.contents
     stat = None
     if g.stat_err is not None:
@@ -62,10 +57,17 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
 
 
 def kernel_projector(R: ResponseMatrix) -> np.ndarray:
-    """Orthogonal projector onto the null space of the response matrix."""
+    """Orthogonal projector onto the null space of the response matrix.
+
+    Exactly zero when the response has full column rank; otherwise
+    ``I - V_rᵀV_r`` over the row-space basis ``V_r`` of the thin SVD.
+    """
     _, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
     row_space = vt[_large(s)]
-    return np.eye(R.true_axis.nbins) - row_space.T @ row_space
+    nx = R.true_axis.nbins
+    if row_space.shape[0] == nx:
+        return np.zeros((nx, nx))
+    return np.eye(nx) - row_space.T @ row_space
 
 
 def kernel_projection(R: ResponseMatrix, f) -> np.ndarray:

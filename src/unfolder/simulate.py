@@ -200,7 +200,9 @@ class Scenario:
             raise ValueError("entries must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        rebin_axes(self.meas_axis, *self.rebin)  # refuses a bad rebin
+        extension, refine = self.rebin
+        rebin_axes(self.meas_axis, extension, refine)  # refuses a bad rebin
+        object.__setattr__(self, "rebin", (extension, int(refine)))  # 2.0 -> 2
 
     @property
     def true_axis(self) -> Axis:
@@ -256,10 +258,8 @@ class Scenario:
             raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
         rebin_cfg = d.get("rebin", {})
         try:
-            refine = rebin_cfg.get("refine_factor", 1)
-            rebin = (float(rebin_cfg.get("extension_factor", 1.0)), int(refine))
-            if rebin[1] != float(refine):
-                raise ValueError(f"refine_factor must be an integer, got {refine!r}")
+            rebin = (float(rebin_cfg.get("extension_factor", 1.0)),
+                     rebin_cfg.get("refine_factor", 1))
             return cls(truth=truth, smearing=smearing, entries=int(entries),
                        seed=int(seed), meas_axis=meas_axis, rebin=rebin)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -365,11 +365,8 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     experiment, and every experiment is then evaluated at that fixed order
     so the ensemble spread is directly comparable with the propagated
     covariance.  The estimate at that order is linear in the counts,
-    ``f_N = B_N g`` with ``B_N = V diag(φ_N/s) Uᵀ`` from one thin SVD
-    ``A = U diag(s) Vᵀ`` and the filter factors
-    ``φ_N = 1 - (1 - s²/K)^(N+1)``, so the ensemble's mean and covariance
-    are those of the counts mapped through ``B_N``; no experiment is
-    iterated on its own.
+    ``f_N = B_N g``, so the ensemble's mean and covariance are those of the
+    counts mapped through ``B_N``; no experiment is iterated on its own.
     With `poisson_total` the sample size of each experiment
     fluctuates as Poisson(entries), a draw of 0 included, which makes the
     bin contents exactly independent Poisson variates; otherwise the total
@@ -382,8 +379,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     """
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
     from concurrent.futures import ThreadPoolExecutor
-    from .baseline import _filtered_pinv
-    from .unfold import run
+    from .unfold import init, run, step
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
     if R.meas_axis != sc.meas_axis:
@@ -394,10 +390,6 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
         raise ValueError("seeds length must equal n_experiments")
 
     edges = sc.meas_axis.edges
-    # factorised before the sampling: from 48 bins up, OpenBLAS on 2 threads
-    # leaves a worker spinning for about 0.1 s after the SVD, which then
-    # overlaps the sampling instead of whatever the caller runs next
-    u, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
 
     def measured_counts(seed):
         # the draws of generate(); only the measured side is binned
@@ -415,11 +407,12 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     first = Histogram.from_counts(sc.meas_axis, counts[0])
     order = run(R, first, policy).stopped_at
 
-    # B_N from the Landweber factors φ_N(λ), λ = s²/K clipped to 1 (a
-    # k_override may sit 1e-12 below K), where log1p(-λ) = -inf and φ_N = 1
-    with np.errstate(divide="ignore"):
-        phi = -np.expm1((order + 1) * np.log1p(-np.minimum(s * s / R.k_factor, 1.0)))
-    b = _filtered_pinv(u, s, vt, phi)
+    # f_N = B_N g is linear in g, and B_N is the e_n of the covariance
+    # recursion started from the identity: propagate the moments of g
+    state = init(R, first, covariance=np.eye(sc.meas_axis.nbins))
+    for _ in range(order):
+        state = step(state)
+    b = state.e_n
     mean_g = g_matrix.mean(axis=0)
     d = g_matrix - mean_g
     # einsum, not BLAS: no threaded product that grows with n_experiments

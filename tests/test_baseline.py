@@ -67,6 +67,9 @@ class TestKernelProjection:
         rm = response_of(WELL_CONDITIONED)
         f = np.array([1.0, -2.0, 3.0])
         assert np.abs(uf.kernel_projection(rm, f)).max() < 1e-10
+        # full column rank, square or tall: exact zeros, not rounding noise
+        assert not uf.kernel_projection(rm, f).any()
+        assert not uf.kernel_projector(response_of(WELL_CONDITIONED[:, :2])).any()
 
     def test_duplicated_column_null_mode(self):
         a = np.array([[0.7, 0.2, 0.2],

@@ -468,7 +468,7 @@ class TestBadFactors:
         ({"rebin": {"extension_factor": 0.5, "refine_factor": 1}}, "extension_factor"),
         ({"rebin": {"extension_factor": 1.0, "refine_factor": 0}}, "refine_factor"),
         ({"rebin": {"extension_factor": 1.0, "refine_factor": 2.9}}, "refine_factor"),
-        ({"rebin": {"extension_factor": 1.0, "refine_factor": float("inf")}}, "infinity")])
+        ({"rebin": {"extension_factor": 1.0, "refine_factor": float("inf")}}, "refine_factor")])
     def test_scenario_exits_2(self, tmp_path, capsys, change, field):
         # json writes inf and nan as the Infinity and NaN tokens, which it reads
         config ={"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},

@@ -1,12 +1,11 @@
 """pseudo_experiments propagates the ensemble's moments through the
-SVD-filtered operator B_N; pinned to the per-experiment iteration and to the
-covariance recursion started from the identity."""
+reference recursion; pinned to the per-experiment iteration and to the
+closed form of B_N from the Landweber filter factors."""
 
 import numpy as np
 import pytest
 
 import unfolder as uf
-from unfolder.unfold import init, step
 
 from _oracles import random_response_matrix
 
@@ -41,13 +40,14 @@ def shaped_response(sc, kind):
     return uf.ResponseMatrix(uf.Axis.uniform(-3.5, 4.5, nx), sc.meas_axis, a)
 
 
-def step_from_identity(R, order):
-    """B_N as the e_n of the covariance recursion started from the identity."""
-    ny = R.meas_axis.nbins
-    state = init(R, uf.Histogram(R.meas_axis, np.zeros(ny)), covariance=np.eye(ny))
-    for _ in range(order):
-        state = step(state)
-    return state.e_n
+def landweber_operator(R, order):
+    """B_N in closed form: ``V diag(φ_N/s) Uᵀ`` from the thin SVD
+    ``A = U diag(s) Vᵀ``, with the filter factors ``φ_N = 1 - (1 - s²/K)^(N+1)``
+    (Hansen, Discrete Inverse Problems, 2010, ch. 6), 0 where s == 0."""
+    u, s, vt = np.linalg.svd(R.matrix, full_matrices=False)
+    phi = 1 - (1 - s * s / R.k_factor) ** (order + 1)
+    d = np.divide(phi, s, out=np.zeros_like(s), where=s > 0)
+    return vt.T @ (d[:, None] * u.T)
 
 
 def measured_counts(sc, n_experiments, poisson_total):
@@ -105,12 +105,12 @@ def test_worker_count_does_not_change_moments(order):
 @pytest.mark.parametrize("order", [0, 1, 30, 300])
 @pytest.mark.parametrize("kind", ["nx>ny", "nx<ny", "rank-deficient",
                                   "identity", "k-below"])
-def test_moments_match_step_recursion_from_identity(kind, order):
+def test_moments_match_landweber_closed_form(kind, order):
     sc = scenario()
     R = shaped_response(sc, kind)
     ens = uf.pseudo_experiments(sc, 40, R, uf.StoppingPolicy.fixed(order), workers=1)
     g = measured_counts(sc, 40, True)
-    b = step_from_identity(R, order)
+    b = landweber_operator(R, order)
     mean, cov = b @ g.mean(axis=0), b @ np.cov(g, rowvar=False) @ b.T
     assert ens.order == order
     np.testing.assert_allclose(ens.mean, mean, rtol=1e-10,
