@@ -15,21 +15,35 @@ Exit codes: 0 success, 2 usage or configuration error, 3 inconsistent data,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
+# Both settings below are made only in a fresh CLI process, one that has not
+# loaded numpy yet; a library caller's process is left as it is.
+#
 # After numpy loads, and after every threaded BLAS call, OpenBLAS's helper
 # thread busy-waits for 2^28 cycles before it sleeps.  A CLI command does a
 # few tens of milliseconds of work, so that spin was more than a third of
 # its CPU time.  2^4 cycles (OpenBLAS's minimum) lets the helper sleep at
 # once; the thread count and the work partitioning, and so the output
 # bytes, stay the same.  OpenBLAS reads the variable only when it loads, so
-# it is set before numpy is imported, and only then; a user's value wins.
-if "numpy" not in sys.modules:
+# it is set before numpy is imported; a user's value wins.
+#
+# After the imports below the cyclic collector tracks about 21k objects,
+# half of them left by numpy and the package, and every collection the
+# command triggers, and those at exit, would walk them all again.  The collector is paused during the imports, and what they
+# left is then frozen (moved to a generation it never scans), the start-up
+# pattern of the ``gc.freeze`` docs; :func:`main` freezes once more before
+# it returns.  The collector only frees unreachable objects, so no output
+# byte depends on it.
+_FRESH_PROCESS = "numpy" not in sys.modules
+if _FRESH_PROCESS:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    _gc_was_enabled = gc.isenabled()
+    gc.disable()
 
 import numpy as np
 
@@ -39,6 +53,11 @@ from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
 from .histogram import Axis, Histogram, l1_distance, rebin_axes
 from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, _gaussian_kernel,
                        read_pairs_csv, write_pairs_csv)
+
+if _FRESH_PROCESS:
+    gc.freeze()
+    if _gc_was_enabled:  # a caller's gc.disable() stays in force
+        gc.enable()
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -95,6 +114,7 @@ def _resolve_config(path):
     p = Path(path)
     if p.exists():
         return p
+    from importlib import resources  # only for bundled names
     name = p.name if p.name.endswith(".json") else p.name + ".json"
     bundled = resources.files("unfolder").joinpath("configs", name)
     if bundled.is_file():
@@ -287,6 +307,15 @@ def _parser():
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        if _FRESH_PROCESS:
+            # the collections at interpreter exit skip what the command left
+            gc.freeze()
+
+
+def _main(argv):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,10 +1,13 @@
 """Start-up of a fresh interpreter: ``import unfolder`` resolves its public
-names lazily, the CLI sets OpenBLAS's idle timeout before numpy loads, and
-each CLI subcommand loads only the package modules it runs.
+names lazily, the CLI sets OpenBLAS's idle timeout and freezes the cyclic
+collector's view of its imports when it loads numpy itself, and each CLI
+subcommand loads only the package modules it runs.
 
 Each check runs in a child interpreter, since this one has numpy loaded.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder import cli
 
 SRC = str(Path(uf.__file__).resolve().parents[1])
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
@@ -27,8 +31,8 @@ def child_env(**overrides):
     return env
 
 
-def run_python(code, **env):
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env(**env),
+def run_python(code, *flags, **env):
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=child_env(**env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -116,6 +120,94 @@ class TestBlasIdleTimeout:
             outputs[value] = [(out / name).read_bytes()
                               for name in ("R.json", "result.json", "trace.csv")]
         assert outputs["4"] == outputs["28"]
+
+
+class TestCollectorFreeze:
+    """A fresh CLI process pauses the cyclic collector while it imports numpy
+    and the package, then freezes what the imports left; a process that had
+    numpy loaded first keeps its collector state."""
+
+    PROBE = ("import gc, json\n{pre}import unfolder.cli\n"
+             "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))")
+
+    @pytest.mark.parametrize("pre, enabled", [("", True), ("gc.disable()\n", False)],
+                             ids=["collector-on", "caller-disabled"])
+    def test_fresh_import_freezes_and_keeps_callers_setting(self, pre, enabled):
+        now_enabled, frozen = run_python(self.PROBE.format(pre=pre))
+        assert now_enabled is enabled
+        assert frozen > 0
+
+    def test_library_process_untouched(self, tmp_path):
+        argv = ["response", "--kernel", "gauss", "--sigma", "0.5",
+                "--meas-axis=-5:5:20", "--out", str(tmp_path / "R.json")]
+        out = run_python(
+            "import contextlib, gc, io, json\n"
+            "import numpy\n"
+            "before = [gc.isenabled(), gc.get_freeze_count()]\n"
+            "import unfolder.cli\n"
+            "after_import = [gc.isenabled(), gc.get_freeze_count()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = unfolder.cli.main({argv!r})\n"
+            "print(json.dumps([code, before, after_import,"
+            " [gc.isenabled(), gc.get_freeze_count()]]))")
+        code, before, after_import, after_main = out
+        assert code == 0
+        assert before == after_import == after_main == [True, 0]
+
+    def test_fresh_process_bytes_match_in_process(self, tmp_path):
+        axis = uf.Axis.uniform(-10.0, 10.0, 100)
+        truth = 1000.0 / (1.0 + axis.centers ** 2)
+        uf.Histogram.from_counts(axis, np.random.default_rng(6).poisson(truth)).save_json(
+            tmp_path / "measured.json")
+        names = ("R.json", "result.json", "trace.csv")
+        outputs = {}
+        for side in ("fresh", "in-process"):
+            out = tmp_path / side
+            out.mkdir()
+            stdout = []
+            for argv in (["response", "--kernel", "gauss", "--sigma", "1.0",
+                          "--meas-axis=-10:10:100", "--out", str(out / "R.json")],
+                         ["unfold", "--measured", str(tmp_path / "measured.json"),
+                          "--response", str(out / "R.json"), "--stop", "min-total",
+                          "--out", str(out / "result.json"),
+                          "--trace", str(out / "trace.csv")]):
+                if side == "fresh":
+                    proc = subprocess.run([sys.executable, "-m", "unfolder.cli", *argv],
+                                          env=child_env(), capture_output=True,
+                                          text=True, timeout=120)
+                    assert proc.returncode == 0, proc.stderr
+                    stdout.append(proc.stdout)
+                else:
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        assert cli.main(argv) == 0
+                    stdout.append(buf.getvalue())
+            outputs[side] = [(out / name).read_bytes() for name in names] + stdout
+        assert outputs["fresh"] == outputs["in-process"]
+
+
+class TestLazyResources:
+    """Without ``site`` (whose ``.pth`` hooks may preload it), nothing but a
+    bundled scenario name makes the CLI load ``importlib.resources``."""
+
+    def test_loaded_only_for_a_bundled_name(self, tmp_path):
+        config = Path(uf.__file__).parent / "configs" / "cauchy-gauss.json"
+        site_dir = str(Path(np.__file__).resolve().parents[1])
+        argvs = [["simulate", str(config), "--out", str(tmp_path / "path")],
+                 ["simulate", "cauchy-gauss", "--out", str(tmp_path / "name")]]
+        out = run_python(
+            "import contextlib, io, json, sys\n"
+            "import unfolder.cli\n"
+            "seen = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = unfolder.cli.main(argv)\n"
+            "    seen.append([code, 'importlib.resources' in sys.modules])\n"
+            "print(json.dumps(seen))",
+            "-S", PYTHONPATH=SRC + os.pathsep + site_dir)
+        assert out == [[0, False], [0, True]]
+        assert ((tmp_path / "name" / "truth.json").read_bytes()
+                == (tmp_path / "path" / "truth.json").read_bytes())
 
 
 class TestLeanCommands:
