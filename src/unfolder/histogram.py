@@ -9,6 +9,8 @@ a new object, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,16 @@ def _save_json(path, d, indent=None):
 
 def _load_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _whole_number(name, value, low):
+    """`value` as an int of at least `low`.  An integral number is read as
+    one (2.0 -> 2); a fraction, a non-finite value, a bool or a string is
+    refused with a ValueError naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low <= value < math.inf or value != int(value)):
+        raise ValueError(f"{name} must be a finite integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _frozen(values, dtype=np.float64):
@@ -318,10 +330,7 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
     """
     if not 1 <= extension_factor < np.inf:
         raise ValueError(f"extension_factor must be finite and >= 1, got {extension_factor!r}")
-    if not 1 <= refine_factor < np.inf or refine_factor != int(refine_factor):
-        raise ValueError(
-            f"refine_factor must be a finite integer >= 1, got {refine_factor!r}")
-    refine_factor = int(refine_factor)
+    refine_factor = _whole_number("refine_factor", refine_factor, 1)
     edges = measured_axis.edges
     if extension_factor > 1:
         if not measured_axis.is_uniform():

@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .histogram import Axis, Histogram, _load_json, _save_json, rebin_axes
+from .histogram import (Axis, Histogram, _load_json, _save_json, _whole_number,
+                        rebin_axes)
 from .response import _PAIR_BLOCK, ResponseMatrix, _closed_edges, _gaussian_kernel
 
 
@@ -196,10 +197,9 @@ class Scenario:
     rebin: tuple = (1.0, 1)
 
     def __post_init__(self):
-        if self.entries < 1:
-            raise ValueError("entries must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        # 20000.0 -> 20000; 2.5, "100" and True are refused, not truncated
+        object.__setattr__(self, "entries", _whole_number("entries", self.entries, 1))
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
         extension, refine = self.rebin
         rebin_axes(self.meas_axis, extension, refine)  # refuses a bad rebin
         object.__setattr__(self, "rebin", (extension, int(refine)))  # 2.0 -> 2
@@ -260,8 +260,8 @@ class Scenario:
         try:
             rebin = (float(rebin_cfg.get("extension_factor", 1.0)),
                      rebin_cfg.get("refine_factor", 1))
-            return cls(truth=truth, smearing=smearing, entries=int(entries),
-                       seed=int(seed), meas_axis=meas_axis, rebin=rebin)
+            return cls(truth=truth, smearing=smearing, entries=entries,
+                       seed=seed, meas_axis=meas_axis, rebin=rebin)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc), field=None) from exc
 
@@ -361,16 +361,16 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     common order.
 
     Experiment k uses seed ``sc.seed + k`` (or ``seeds[k]`` when an explicit
-    sequence is given).  The stopping policy is resolved once, on the first
-    experiment, and every experiment is then evaluated at that fixed order
-    so the ensemble spread is directly comparable with the propagated
-    covariance.  The estimate at that order is linear in the counts,
-    ``f_N = B_N g``, so the ensemble's mean and covariance are those of the
-    counts mapped through ``B_N``; no experiment is iterated on its own.
-    With `poisson_total` the sample size of each experiment
-    fluctuates as Poisson(entries), a draw of 0 included, which makes the
-    bin contents exactly independent Poisson variates; otherwise the total
-    is fixed (multinomial bins).
+    sequence is given).  The estimate at a fixed order is linear in the
+    counts, ``f_N = B_N g``, so the ensemble's mean and covariance are
+    ``B_N mean(g)`` and ``B_N cov(g) B_Nᵀ``: exactly what one
+    :func:`~unfolder.unfold.run` on the mean counts, with their sample
+    covariance as input covariance, returns.  The stopping policy is
+    resolved in that run, so the order does not depend on which seed comes
+    first, and no experiment is iterated on its own.  With `poisson_total`
+    the sample size of each experiment fluctuates as Poisson(entries), a
+    draw of 0 included, which makes the bin contents exactly independent
+    Poisson variates; otherwise the total is fixed (multinomial bins).
 
     `workers` threads parallelize the sample generation (default from the
     UNFOLDER_THREADS environment variable, clamped to the number of
@@ -379,7 +379,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     """
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
     from concurrent.futures import ThreadPoolExecutor
-    from .unfold import init, run, step
+    from .unfold import run
     if n_experiments < 2:
         raise ValueError("need at least 2 pseudo-experiments")
     if R.meas_axis != sc.meas_axis:
@@ -403,23 +403,12 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     with ThreadPoolExecutor(max_workers=_worker_count(workers, n_experiments)) as pool:
         counts = list(pool.map(measured_counts, seeds))
     g_matrix = np.vstack(counts, dtype=np.float64)
-
-    first = Histogram.from_counts(sc.meas_axis, counts[0])
-    order = run(R, first, policy).stopped_at
-
-    # f_N = B_N g is linear in g, and B_N is the e_n of the covariance
-    # recursion started from the identity: propagate the moments of g
-    state = init(R, first, covariance=np.eye(sc.meas_axis.nbins))
-    for _ in range(order):
-        state = step(state)
-    b = state.e_n
     mean_g = g_matrix.mean(axis=0)
     d = g_matrix - mean_g
     # einsum, not BLAS: no threaded product that grows with n_experiments
     cov_g = np.einsum("ki,kj->ij", d, d) / (n_experiments - 1)
-    return EnsembleStats(
-        order=order,
-        mean=b @ mean_g,
-        covariance=b @ cov_g @ b.T,
-        n_experiments=n_experiments,
-    )
+    out = run(R, Histogram(sc.meas_axis, mean_g, kind="counts"), policy,
+              covariance=cov_g)
+    return EnsembleStats(order=out.stopped_at, mean=out.state.f_n,
+                         covariance=out.state.covariance,
+                         n_experiments=n_experiments)

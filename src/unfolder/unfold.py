@@ -211,13 +211,16 @@ class StoppingPolicy:
 @dataclass(frozen=True)
 class UnfoldResult:
     """Outcome of :func:`run`: the unfolded histogram, the per-iteration
-    error budgets, the stopping order, and whether the iteration cap cut
-    the policy short."""
+    error budgets, the stopping order, whether the iteration cap cut the
+    policy short, and the iterate at the stopping order (``state.f_n`` is
+    the result's contents and ``state.covariance`` the full propagated
+    covariance, whose diagonal the result's `stat_err` reports)."""
 
     result: Histogram
     trace: tuple
     stopped_at: int
     truncated: bool
+    state: IterateState
 
 
 def init(R: ResponseMatrix, g: Histogram, syst=None, covariance=None) -> IterateState:
@@ -363,4 +366,4 @@ def run(R: ResponseMatrix, g: Histogram, policy: StoppingPolicy,
     result = Histogram(R.true_axis, best.f_n, stat_err=per_bin,
                        syst_err=syst_err, kind=g.kind, unfolded=True)
     return UnfoldResult(result=result, trace=tuple(budgets),
-                        stopped_at=best.n, truncated=truncated)
+                        stopped_at=best.n, truncated=truncated, state=best)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,25 @@ class TestUnfold:
         assert float(rows[-1].split(",")[3]) >= 0.05
         assert svg.read_text().startswith("<svg ")
         assert "timestamp" not in svg.read_text()
+
+    def test_log_y_svg_is_deterministic_with_decade_ticks(self, sim_dir, response_file,
+                                                          tmp_path):
+        svgs = []
+        for name in ("a.svg", "b.svg"):
+            assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                           "--response", str(response_file),
+                           "--stop", "stat-frac=0.05",
+                           "--truth", str(sim_dir / "truth.json"),
+                           "--out", str(tmp_path / "o.json"),
+                           "--svg", str(tmp_path / name), "--log-y") == 0
+            svgs.append((tmp_path / name).read_bytes())
+        assert svgs[0] == svgs[1]
+        # the y tick labels are the right-aligned ones
+        labels = re.findall(r'text-anchor="end"[^>]*>([^<]+)</text>', svgs[0].decode())
+        assert len(labels) >= 2
+        for label in labels:
+            exponent = math.log10(float(label))
+            assert exponent == round(exponent), label
 
     def test_deterministic_result(self, sim_dir, response_file, tmp_path):
         outs = []
@@ -438,8 +459,9 @@ class TestSystAxis:
 
 class TestBadFactors:
     """A non-finite or too small --rebin factor, a non-finite --sigma, and a
-    scenario seed or rebin out of range are usage errors (exit 2) that name
-    the option or field; none reaches the numerics."""
+    scenario seed, entries or rebin out of range or not a whole number are
+    usage errors (exit 2) that name the option or field; none reaches the
+    numerics."""
 
     @pytest.mark.parametrize("rebin", ["inf,1", "nan,1", "-inf,1", "0.5,1", "1.5,0"])
     def test_rebin_exits_2(self, sim_dir, tmp_path, capsys, rebin):
@@ -463,6 +485,12 @@ class TestBadFactors:
 
     @pytest.mark.parametrize("change, field", [
         ({"seed": -1}, "seed"),
+        ({"seed": 1.9}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"entries": 2.5}, "entries"),
+        ({"entries": "100"}, "entries"),
+        ({"entries": True}, "entries"),
         ({"rebin": {"extension_factor": float("inf"), "refine_factor": 1}}, "extension_factor"),
         ({"rebin": {"extension_factor": float("nan"), "refine_factor": 1}}, "extension_factor"),
         ({"rebin": {"extension_factor": 0.5, "refine_factor": 1}}, "extension_factor"),

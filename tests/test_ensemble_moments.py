@@ -1,6 +1,7 @@
-"""pseudo_experiments propagates the ensemble's moments through the
-reference recursion; pinned to the per-experiment iteration and to the
-closed form of B_N from the Landweber filter factors."""
+"""pseudo_experiments propagates the ensemble's moments through one run of
+the reference recursion, on the ensemble's mean counts with their sample
+covariance; pinned to the per-experiment iteration and to the closed form
+of B_N from the Landweber filter factors."""
 
 import numpy as np
 import pytest
@@ -117,3 +118,65 @@ def test_moments_match_landweber_closed_form(kind, order):
                                atol=1e-10 * np.abs(mean).max())
     np.testing.assert_allclose(ens.covariance, cov, rtol=1e-10,
                                atol=1e-10 * np.abs(cov).max())
+
+
+def counts_moments(g):
+    """Mean and sample covariance of the rows of `g`, formed as
+    pseudo_experiments forms them."""
+    mean = g.mean(axis=0)
+    d = g - mean
+    return mean, np.einsum("ki,kj->ij", d, d) / (len(g) - 1)
+
+
+@pytest.mark.parametrize("policy", [uf.StoppingPolicy.stat_fraction(0.05),
+                                    uf.StoppingPolicy.min_total()],
+                         ids=["stat_fraction", "min_total"])
+def test_moments_are_one_run_on_the_mean_counts(policy):
+    sc = scenario()
+    R = response(sc)
+    ens = uf.pseudo_experiments(sc, 30, R, policy, workers=1)
+    mean_g, cov_g = counts_moments(measured_counts(sc, 30, True))
+    out = uf.run(R, uf.Histogram(sc.meas_axis, mean_g, kind="counts"), policy,
+                 covariance=cov_g)
+    assert ens.order == out.stopped_at
+    assert np.array_equal(ens.mean, out.result.contents)
+    assert np.array_equal(ens.covariance, out.state.covariance)
+
+
+# alone, experiment 4242 stops stat_fraction(0.05) at order 8 and 4251 at 6;
+# the ensemble's mean counts and covariance stop it at 7
+SEEDS = list(range(4242, 4254))
+
+
+@pytest.mark.parametrize("seeds", [SEEDS, [4251] + [s for s in SEEDS if s != 4251][::-1]],
+                         ids=["in-order", "permuted"])
+def test_order_does_not_depend_on_the_first_seed(seeds):
+    sc = scenario()
+    R = response(sc)
+    ens = uf.pseudo_experiments(sc, len(seeds), R, uf.StoppingPolicy.stat_fraction(0.05),
+                                seeds=seeds, workers=1)
+    ref = uf.pseudo_experiments(sc, len(SEEDS), R, uf.StoppingPolicy.stat_fraction(0.05),
+                                seeds=SEEDS, workers=1)
+    assert ens.order == ref.order == 7
+    np.testing.assert_allclose(ens.mean, ref.mean, rtol=1e-13)
+    np.testing.assert_allclose(ens.covariance, ref.covariance, rtol=1e-12,
+                               atol=1e-13 * np.abs(ref.covariance).max())
+
+
+@pytest.mark.parametrize("policy", [uf.StoppingPolicy.fixed(5),
+                                    uf.StoppingPolicy.stat_fraction(0.05)],
+                         ids=["fixed", "stat_fraction"])
+def test_one_recursion(monkeypatch, policy):
+    from unfolder import unfold
+    calls = []
+    step = unfold.step
+
+    def counting_step(s):
+        calls.append(s.n)
+        return step(s)
+
+    monkeypatch.setattr(unfold, "step", counting_step)
+    sc = scenario()
+    ens = uf.pseudo_experiments(sc, 20, response(sc), policy, workers=1)
+    assert ens.order > 0
+    assert calls == list(range(ens.order))

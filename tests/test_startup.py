@@ -137,6 +137,27 @@ class TestCollectorFreeze:
         assert now_enabled is enabled
         assert frozen > 0
 
+    def test_repeated_main_freezes_only_once(self, tmp_path):
+        axis = uf.Axis.uniform(-5.0, 5.0, 20)
+        uf.Histogram(axis, 200.0 / (1.0 + axis.centers ** 2)).save_json(
+            tmp_path / "truth.json")
+        uf.ResponseMatrix(axis, axis, np.eye(20)).save_json(tmp_path / "R.json")
+        argv = ["fold", "--truth", str(tmp_path / "truth.json"),
+                "--response", str(tmp_path / "R.json"), "--out", str(tmp_path / "o.json")]
+        out = run_python(
+            "import contextlib, gc, io, json\n"
+            "import unfolder.cli\n"
+            "codes, counts = [], []\n"
+            "for _ in range(20):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        codes.append(unfolder.cli.main({argv!r}))\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(json.dumps([codes, counts]))")
+        codes, counts = out
+        assert codes == [0] * 20
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 20
+
     def test_library_process_untouched(self, tmp_path):
         argv = ["response", "--kernel", "gauss", "--sigma", "0.5",
                 "--meas-axis=-5:5:20", "--out", str(tmp_path / "R.json")]

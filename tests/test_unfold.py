@@ -225,10 +225,13 @@ class TestRun:
     @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 10),
            ny=st.integers(1, 10), order=st.integers(0, 30),
            al=st.floats(-10.0, 10.0), be=st.floats(-10.0, 10.0))
+    @example(seed=0, nx=2, ny=1, order=1, al=0.0, be=5e-324)
     @settings(max_examples=150, deadline=None)
     def test_fixed_n_linearity(self, seed, nx, ny, order, al, be):
         # run(al g1 + be g2) = al run(g1) + be run(g2) up to rounding, which
-        # grows with the order and the size of the inputs
+        # grows with the order and the size of the inputs; in the subnormal
+        # range rounding is absolute (steps of 2**-1074), so a relative
+        # bound alone reads 0 there (the example differs by 5e-324)
         rng = np.random.default_rng(seed)
         true_axis, meas_axis = uf.Axis(random_edges(rng, nx)), uf.Axis(random_edges(rng, ny))
         rm = uf.ResponseMatrix(true_axis, meas_axis, random_response_matrix(rng, nx, ny))
@@ -242,7 +245,22 @@ class TestRun:
         lhs = run_of(al * g1 + be * g2)
         rhs = al * run_of(g1) + be * run_of(g2)
         scale = abs(al) * g1.max() + abs(be) * g2.max()
-        assert np.abs(lhs - rhs).max() <= 1e-12 * (order + 1) * scale
+        underflow = 4 * (order + 1) * (nx + ny) * 2.0**-1074
+        assert np.abs(lhs - rhs).max() <= 1e-12 * (order + 1) * scale + underflow
+
+    @pytest.mark.parametrize("policy", [uf.StoppingPolicy.fixed(6),
+                                        uf.StoppingPolicy.stat_fraction(0.05),
+                                        uf.StoppingPolicy.min_total()],
+                             ids=["fixed", "stat_fraction", "min_total"])
+    def test_state_is_the_iterate_at_the_stopping_order(self, demo_response,
+                                                        demo_scenario, policy):
+        g = uf.generate(demo_scenario).measured
+        out = uf.run(demo_response, g, policy)
+        # min_total iterates past its argmin, so the state is not the last one
+        assert out.state.n == out.stopped_at
+        assert np.array_equal(out.state.f_n, out.result.contents)
+        np.testing.assert_allclose(np.sqrt(np.diag(out.state.covariance)),
+                                   out.result.stat_err, rtol=1e-13)
 
     def test_stat_fraction_stops_at_smallest_qualifying_order(self, demo_response,
                                                               demo_scenario):

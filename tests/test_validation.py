@@ -190,18 +190,38 @@ class TestScenarioRanges:
         assert uf.Scenario.from_dict(d).rebin == (1.0, 2)
         assert uf.rebin_axes(AXIS, 1.0, 2.0) == uf.rebin_axes(AXIS, 1.0, 2)
 
+    def test_integral_float_entries_and_seed_are_read_as_int(self):
+        d = scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING)
+        d["entries"], d["seed"] = 20000.0, 7.0
+        sc = uf.Scenario.from_dict(d)
+        assert (sc.entries, sc.seed) == (20000, 7)
+        assert type(sc.entries) is int and type(sc.seed) is int
+        assert sc == uf.Scenario.from_dict({**d, "entries": 20000, "seed": 7})
+
     @pytest.mark.parametrize("change, match", [
         ({"seed": -1}, "seed"),
+        ({"seed": 1.9}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": np.nan}, "seed"),
+        ({"entries": 0}, "entries"),
+        ({"entries": 2.5}, "entries"),
+        ({"entries": "100"}, "entries"),
+        ({"entries": True}, "entries"),
+        ({"entries": np.inf}, "entries"),
         ({"rebin": (np.inf, 1)}, "extension_factor"),
         ({"rebin": (np.nan, 1)}, "extension_factor"),
         ({"rebin": (1.0, 0)}, "refine_factor"),
-        ({"rebin": (1.0, 2.9)}, "refine_factor")])
+        ({"rebin": (1.0, 2.9)}, "refine_factor"),
+        ({"rebin": (1.0, True)}, "refine_factor")])
     def test_scenario_refuses(self, change, match):
+        # a fraction, a string or a bool is refused by name, not truncated
         kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
                   "entries": 10, "seed": 1, "meas_axis": AXIS, **change}
         with pytest.raises(ValueError, match=match):
             uf.Scenario(**kwargs)
         d = scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING)
+        d["entries"] = kwargs["entries"]
         d["seed"] = kwargs["seed"]
         d["rebin"] = dict(zip(("extension_factor", "refine_factor"),
                               kwargs.get("rebin", (1.0, 1))))
