@@ -37,9 +37,8 @@ from pathlib import Path
 # command triggers, and those at exit, would walk them all again.  The
 # collector is paused during the imports, and what they left is then
 # frozen (moved to a generation it never scans), the start-up pattern of
-# the ``gc.freeze`` docs; the first :func:`main` call freezes once more
-# before it returns.  The collector only frees unreachable objects, so no
-# output byte depends on it.
+# the ``gc.freeze`` docs.  The collector only frees unreachable objects, so
+# no output byte depends on it.
 _FRESH_PROCESS = "numpy" not in sys.modules
 if _FRESH_PROCESS:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
@@ -308,19 +307,6 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    global _FRESH_PROCESS
-    try:
-        return _main(argv)
-    finally:
-        if _FRESH_PROCESS:
-            # the collections at interpreter exit skip what the command
-            # left; only after the first call, so a program calling main()
-            # repeatedly does not pin every call's garbage
-            _FRESH_PROCESS = False
-            gc.freeze()
-
-
-def _main(argv):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

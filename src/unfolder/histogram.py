@@ -53,7 +53,8 @@ class Axis:
     Parameters
     ----------
     edges : array_like
-        Bin edges, length ``nbins + 1``, strictly increasing.
+        Bin edges, length ``nbins + 1``, strictly increasing, with
+        finite differences.
     """
 
     __slots__ = ("_edges",)
@@ -64,8 +65,13 @@ class Axis:
             raise ValueError(f"need at least two edges, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("edges must be finite")
-        if not np.all(np.diff(e) > 0):
+        with np.errstate(over="ignore"):
+            widths = np.diff(e)
+        if not np.all(widths > 0):
             raise ValueError("edges must be strictly increasing")
+        if not np.all(np.isfinite(widths)):
+            raise ValueError("bin widths must be finite: an edge span "
+                             "overflows float64")
         self._edges = _frozen(e)
 
     @classmethod

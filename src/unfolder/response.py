@@ -369,7 +369,8 @@ def _pair_counts(pairs, x_edges, y_edges):
 
     The counts of ``np.histogram(x, x_edges)`` and of
     ``np.histogram2d(y, x, (y_edges, x_edges))`` over the finite-y pairs,
-    taken _PAIR_BLOCK rows at a time in buffers made once per call.
+    taken _PAIR_BLOCK rows at a time in buffers made once per call and
+    added into the one count table in place (no per-block table).
     """
     x_bins, y_bins = _binning(x_edges), _binning(y_edges)
     nx, size = x_edges.size - 1, min(pairs.shape[0], _PAIR_BLOCK)
@@ -384,7 +385,7 @@ def _pair_counts(pairs, x_edges, y_edges):
             fy *= nx + 2
             fy += fx
             np.copyto(slot, fy, casting="unsafe")
-            counts += np.bincount(slot, minlength=counts.size)
+            np.add.at(counts, slot, 1)
     counts = counts.reshape(-1, nx + 2)
     return counts.sum(axis=0)[1:-1], counts[1:-1, 1:-1]
 

@@ -248,6 +248,13 @@ class Scenario:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
 
+        def checked(name, check, *args):
+            # the checks __post_init__ makes, each refusal naming its field
+            try:
+                return check(*args)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(str(exc), field=name) from exc
+
         truth = build(need(d, "truth"), _TRUTH_TYPES, "truth")
         smearing = build(need(d, "smearing"), _SMEARING_TYPES, "smearing")
         entries = need(d, "entries")
@@ -257,13 +264,15 @@ class Scenario:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
         rebin_cfg = d.get("rebin", {})
-        try:
-            rebin = (float(rebin_cfg.get("extension_factor", 1.0)),
-                     rebin_cfg.get("refine_factor", 1))
-            return cls(truth=truth, smearing=smearing, entries=entries,
-                       seed=seed, meas_axis=meas_axis, rebin=rebin)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc), field=None) from exc
+        extension = checked("rebin.extension_factor", float,
+                            rebin_cfg.get("extension_factor", 1.0))
+        refine = rebin_cfg.get("refine_factor", 1)
+        checked("entries", _whole_number, "entries", entries, 1)
+        checked("seed", _whole_number, "seed", seed, 0)
+        checked("rebin.refine_factor", _whole_number, "refine_factor", refine, 1)
+        checked("rebin.extension_factor", rebin_axes, meas_axis, extension)
+        return cls(truth=truth, smearing=smearing, entries=entries,
+                   seed=seed, meas_axis=meas_axis, rebin=(extension, refine))
 
     def save_json(self, path):
         _save_json(path, self.to_dict(), indent=1)

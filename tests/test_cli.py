@@ -506,5 +506,6 @@ class TestBadFactors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
-        assert field in capsys.readouterr().err
+        where = f"rebin.{field}" if "rebin" in change else field
+        assert capsys.readouterr().err.endswith(f" (field: {where})\n")
         assert not (tmp_path / "o" / "measured.json").exists()

@@ -142,6 +142,22 @@ def test_temporaries_stay_below_half_the_input():
     assert peak < pairs.nbytes / 2
 
 
+def test_count_table_is_not_copied_per_block():
+    # at 1000 x 1000 bins the table is 8 MB: blocks are added into it in
+    # place, with no whole-table temporary per block
+    edges = uf.Axis.uniform(0.0, 1.0, 1000).edges
+    pairs = np.random.default_rng(8).uniform(-0.1, 1.1, (200_000, 2))
+    table = (edges.size + 1) ** 2 * np.dtype(np.intp).itemsize
+    buffers = 4 * response._PAIR_BLOCK * 8
+    tracemalloc.start()
+    try:
+        response._pair_counts(pairs, edges, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table + buffers + 2**20
+
+
 def rebinned_axes():
     return st.builds(
         lambda lo, width, n, extension, refine: uf.rebin_axes(

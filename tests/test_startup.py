@@ -158,6 +158,26 @@ class TestCollectorFreeze:
         assert counts[0] > 0
         assert counts == [counts[0]] * 20
 
+    def test_main_adds_no_freeze(self, tmp_path):
+        # only the import freezes; a command's own objects stay collectable
+        axis = uf.Axis.uniform(-5.0, 5.0, 20)
+        uf.Histogram(axis, 200.0 / (1.0 + axis.centers ** 2)).save_json(
+            tmp_path / "truth.json")
+        uf.ResponseMatrix(axis, axis, np.eye(20)).save_json(tmp_path / "R.json")
+        argv = ["fold", "--truth", str(tmp_path / "truth.json"),
+                "--response", str(tmp_path / "R.json"), "--out", str(tmp_path / "o.json")]
+        out = run_python(
+            "import contextlib, gc, io, json\n"
+            "import unfolder.cli\n"
+            "after_import = gc.get_freeze_count()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = unfolder.cli.main({argv!r})\n"
+            "print(json.dumps([code, after_import, gc.get_freeze_count()]))")
+        code, after_import, after_main = out
+        assert code == 0
+        assert after_import > 0
+        assert after_main <= after_import  # refcounting may free a few frozen objects
+
     def test_library_process_untouched(self, tmp_path):
         argv = ["response", "--kernel", "gauss", "--sigma", "0.5",
                 "--meas-axis=-5:5:20", "--out", str(tmp_path / "R.json")]

@@ -443,6 +443,80 @@ class TestBiasBound:
             assert np.all(dev <= h / (n + 2) + 1e-12 * (n + 1) * case[2].max())
 
 
+@st.composite
+def syst_cases(draw):
+    """A random response, random true edges, a random measurement and a
+    random systematic offset of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return (random_response_matrix(rng, nx, ny), random_edges(rng, nx),
+            rng.uniform(1.0, 100.0, ny), rng.uniform(-1.0, 1.0, ny))
+
+
+def syst_shifts(case, orders=30):
+    """Per order N = 0..orders: the propagated systematic shift, the density
+    norm of f_N(g + delta_g) - f_N(g) over sqrt(v_min); the trace's
+    syst_bound column for the same offset; the density norm of the current
+    iterate over sqrt(v_min); and the true bin volumes."""
+    a, true_edges, g, delta_g = case
+    rm = uf.ResponseMatrix(uf.Axis(true_edges), uf.Axis.uniform(0.0, 1.0, a.shape[0]), a)
+    v = rm.true_axis.widths
+    scale = math.sqrt(v.min())
+
+    def measured(contents):
+        return uf.Histogram(rm.meas_axis, contents, stat_err=np.zeros(contents.size))
+
+    s, t = uf.init(rm, measured(g)), uf.init(rm, measured(g + delta_g))
+    shifts, norms = [], []
+    for _ in range(orders + 1):
+        shifts.append(uf.l2_density_norm(t.f_n - s.f_n, v) / scale)
+        norms.append(uf.l2_density_norm(s.f_n, v) / scale)
+        s, t = uf.step(s), uf.step(t)
+    trace = uf.run(rm, measured(g), uf.StoppingPolicy.fixed(orders), syst=delta_g).trace
+    return shifts, [b.syst_bound for b in trace], norms, v
+
+
+class TestSystBound:
+    # two unit bins, A = diag(1, 0.1): m0 = diag(1, 0.01), and the offset
+    # (0, 1) excites only the slow mode, whose image grows like
+    # 0.1 * (1 - 0.99^(N+1)) / 0.01, about (N+1) * 0.1 at small N, against
+    # the paper's H_{N+1} * 0.1
+    SLOW_MODE = (np.diag([1.0, 0.1]), np.array([0.0, 1.0, 2.0]),
+                 np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+
+    def test_counterexample_values(self):
+        shifts, bounds, _, _ = syst_shifts(self.SLOW_MODE)
+        for n, shift, bound in ((0, 0.100, 0.100), (1, 0.199, 0.150),
+                                (10, 1.047, 0.302), (30, 2.677, 0.403)):
+            assert shifts[n] == pytest.approx(shift, abs=5e-4)
+            assert bounds[n] == pytest.approx(bound, abs=5e-4)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="H_{N+1} does not bound the shift: a mode with a small "
+                              "eigenvalue of K^-1 A'A grows like (N+1), not like H_{N+1}")
+    @given(case=syst_cases())
+    @example(case=SLOW_MODE)
+    @settings(max_examples=100, deadline=None)
+    def test_shift_within_syst_bound(self, case):
+        shifts, bounds, norms, _ = syst_shifts(case)
+        for n, (shift, bound) in enumerate(zip(shifts, bounds)):
+            assert shift <= bound * (1 + 1e-12) + 1e-12 * (n + 1) * norms[n]
+
+    @given(case=syst_cases())
+    @example(case=SLOW_MODE)
+    @settings(max_examples=100, deadline=None)
+    def test_shift_within_linear_order_bound(self, case):
+        # f_N(g + dg) - f_N(g) = sum_{k=0..N} (I - m0)^k df0 with df0 the
+        # order-0 image; I - m0 is symmetric with spectrum in [0, 1], so in
+        # the euclidean norm the shift is at most (N+1) |df0|, and the
+        # density norm adds sqrt(v_max / v_min) on a non-uniform axis
+        shifts, bounds, norms, v = syst_shifts(case)
+        spread = math.sqrt(v.max() / v.min())
+        for n, (shift, bound) in enumerate(zip(shifts, bounds)):
+            linear = bound / uf.harmonic_number(n + 1) * (n + 1) * spread
+            assert shift <= linear * (1 + 1e-12) + 1e-12 * (n + 1) * norms[n]
+
+
 class TestPolicyValidation:
     def test_bad_policies(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Non-finite values are rejected where they enter the library."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,17 @@ class TestAxis:
     def test_from_dict_rejects_infinite_edge(self):
         with pytest.raises(ValueError, match="finite"):
             uf.Axis.from_dict({"edges": [0.0, 1.0, float("inf")]})
+
+    @pytest.mark.parametrize("edges", [[-1.7e308, 1.7e308],
+                                       [-1e308, 1e308, 1.7e308]])
+    def test_overflowing_width_rejected_without_warning(self, edges):
+        # finite edges whose difference overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="widths must be finite"):
+                uf.Axis(edges)
+            with pytest.raises(ValueError, match="widths must be finite"):
+                uf.Axis.from_dict({"edges": edges})
 
 
 class TestHistogram:
