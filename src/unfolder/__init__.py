@@ -34,7 +34,7 @@ __all__ = [
     "EnsembleStats", "generate", "pseudo_experiments",
     "UnfoldingError", "DimensionError", "NormalizationError",
     "InvalidKernelError", "ConstructionError", "DegenerateOperatorError",
-    "DecompositionError", "NumericalFailureError", "ConfigError",
+    "DecompositionError", "NumericalFailureError", "ParameterError", "ConfigError",
     "__version__",
 ]
 
@@ -43,7 +43,8 @@ def _public_names():
     from .baseline import condition_number, kernel_projection, kernel_projector, naive_invert
     from .errors import (ConfigError, ConstructionError, DecompositionError,
                          DegenerateOperatorError, DimensionError, InvalidKernelError,
-                         NormalizationError, NumericalFailureError, UnfoldingError)
+                         NormalizationError, NumericalFailureError, ParameterError,
+                         UnfoldingError)
     from .histogram import Axis, Histogram, l1_distance, normalize, rebin_axes
     from .response import ResponseMatrix, compute_k, read_pairs_csv, write_pairs_csv
     from .simulate import (CalorimeterSmearing, CauchyTruth, EnsembleStats,

@@ -50,7 +50,8 @@ import numpy as np
 # each subcommand imports the rest of the package it runs, and no more
 from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
                      DimensionError, NumericalFailureError, UnfoldingError)
-from .histogram import Axis, Histogram, l1_distance, rebin_axes
+from .histogram import (Axis, Histogram, _real, _whole_number, l1_distance,
+                        rebin_axes)
 from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, _gaussian_kernel,
                        read_pairs_csv, write_pairs_csv)
 
@@ -76,13 +77,11 @@ def _axis_arg(text):
 def _rebin_arg(text):
     try:
         ext, ref = text.split(",")
-        ext, ref = float(ext), int(ref)
-    except (ValueError, TypeError):
-        ext = ref = 0
-    if not (1 <= ext < math.inf and ref >= 1):
+        return (_real("extension_factor", float(ext), 1.0),
+                _whole_number("refine_factor", int(ref), 1))
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected EXTENSION,REFINE, finite factors >= 1, got {text!r}")
-    return ext, ref
+            f"expected EXTENSION,REFINE, finite factors >= 1, got {text!r}") from None
 
 
 def _stop_arg(text):

@@ -40,6 +40,14 @@ class NumericalFailureError(UnfoldingError):
         self.order = int(order)
 
 
+class ParameterError(UnfoldingError, ValueError):
+    """A scalar count, order or factor is refused; ``name`` names it."""
+
+    def __init__(self, message, name):
+        super().__init__(message)
+        self.name = name
+
+
 class ConfigError(UnfoldingError):
     """Scenario or CLI configuration is malformed.
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError
+from .errors import DimensionError, NormalizationError, ParameterError
 
 KINDS = ("counts", "mass", "density")
 
@@ -32,13 +33,28 @@ def _load_json(path):
 
 
 def _whole_number(name, value, low):
-    """`value` as an int of at least `low`.  An integral number is read as
-    one (2.0 -> 2); a fraction, a non-finite value, a bool or a string is
-    refused with a ValueError naming `name`."""
+    """`value` as an int of at least `low`.  This and :func:`_real` are the
+    one rule for a scalar count, order or factor, called once where it
+    enters.  An integral number is read as one (2.0 -> 2); a fraction, a
+    non-finite value, a bool or a string is refused with a ParameterError
+    (a ValueError) naming `name`."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not low <= value < math.inf or value != int(value)):
-        raise ValueError(f"{name} must be a finite integer >= {low}, got {value!r}")
+        raise ParameterError(f"{name} must be a finite integer >= {low}, got {value!r}", name)
     return int(value)
+
+
+def _real(name, value, low=-math.inf, strict=False, high=math.inf):
+    """`value` as a finite float in [low, high], or in (low, high) when
+    `strict`; refused as by :func:`_whole_number` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max
+            or not (low < value < high if strict else low <= value <= high)):
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        if high < math.inf:
+            bound += f" and {'<' if strict else '<='} {high:g}"
+        raise ParameterError(f"{name} must be a finite number{bound}, got {value!r}", name)
+    return float(value)
 
 
 def _frozen(values, dtype=np.float64):
@@ -77,9 +93,11 @@ class Axis:
     @classmethod
     def uniform(cls, low, high, nbins):
         """Equal-width axis with `nbins` bins spanning [low, high]."""
-        if nbins < 1:
-            raise ValueError("nbins must be >= 1")
-        return cls(np.linspace(float(low), float(high), int(nbins) + 1))
+        low, high = _real("low", low), _real("high", high)
+        nbins = _whole_number("nbins", nbins, 1)
+        if not math.isfinite(high - low):
+            raise ValueError(f"the span from {low!r} to {high!r} overflows float64")
+        return cls(np.linspace(low, high, nbins + 1))
 
     @property
     def edges(self) -> np.ndarray:
@@ -104,7 +122,10 @@ class Axis:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self._edges[:-1] + self._edges[1:])
+        a, b = self._edges[:-1], self._edges[1:]
+        with np.errstate(over="ignore"):  # a + b can overflow where b - a does not
+            mid = 0.5 * (a + b)
+        return np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
 
     def is_uniform(self, rtol=1e-9) -> bool:
         w = self.widths
@@ -201,9 +222,7 @@ class Histogram:
         c = np.asarray(counts, dtype=np.float64)
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
-        if zero_bin_sigma < 0:
-            raise ValueError("zero_bin_sigma must be non-negative")
-        stat = np.where(c > 0, np.sqrt(c), float(zero_bin_sigma))
+        stat = np.where(c > 0, np.sqrt(c), _real("zero_bin_sigma", zero_bin_sigma, 0.0))
         return cls(axis, c, stat_err=stat, kind="counts")
 
     @property
@@ -334,13 +353,15 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
     canonical width to continue a non-uniform one with); refinement works
     for any axis.
     """
-    if not 1 <= extension_factor < np.inf:
-        raise ValueError(f"extension_factor must be finite and >= 1, got {extension_factor!r}")
+    # no more bins than an array can hold
+    extension_factor = _real("extension_factor", extension_factor, 1.0,
+                             high=np.iinfo(np.intp).max / measured_axis.nbins)
     refine_factor = _whole_number("refine_factor", refine_factor, 1)
     edges = measured_axis.edges
     if extension_factor > 1:
         if not measured_axis.is_uniform():
-            raise ValueError("domain extension requires a uniform measured axis")
+            raise ParameterError("domain extension requires a uniform measured "
+                                 "axis", "extension_factor")
         span = edges[-1] - edges[0]
         width = span / measured_axis.nbins
         n = int(round(span * extension_factor / width))

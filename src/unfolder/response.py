@@ -14,7 +14,6 @@ its spectral radius from above for non-negative matrices.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from itertools import compress, islice, repeat
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import (ConstructionError, DegenerateOperatorError,
                      DimensionError, InvalidKernelError)
-from .histogram import Axis, Histogram, _load_json, _save_json
+from .histogram import Axis, Histogram, _load_json, _real, _save_json, _whole_number
 
 COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
@@ -109,18 +108,15 @@ class ResponseMatrix:
             raise ValueError(
                 f"column {worst} sums to {col_sums[worst]:.12g} > 1; entries "
                 "must be migration probabilities")
-        if stored and isinstance(k_override, numbers.Real) and \
-                k_override <= k * (1.0 + 1e-12):
-            k_override = None
         if k_override is not None:
-            if not (isinstance(k_override, numbers.Real) and math.isfinite(k_override)):
-                raise ValueError(
-                    f"k_override must be a finite number, got {k_override!r}")
-            if k_override < k * (1.0 - 1e-12):
+            k_override = _real("k_override", k_override)
+            if stored and k_override <= k * (1.0 + 1e-12):
+                k_override = k
+            elif k_override < k * (1.0 - 1e-12):
                 raise ValueError(
                     f"k_override {k_override} is below the computed factor {k}; "
                     "the iteration would not contract")
-            k = float(k_override)
+            k = k_override
         zero = np.flatnonzero(col_sums == 0.0)
         if zero.size:
             warnings.warn(
@@ -154,9 +150,7 @@ class ResponseMatrix:
         kernels much narrower than the measured bins, where fixed-node
         quadrature cannot resolve the peak.
         """
-        quad_points = int(quad_points)
-        if quad_points < 1:
-            raise ValueError("quad_points must be >= 1")
+        quad_points = _whole_number("quad_points", quad_points, 1)
         nx, ny = true_axis.nbins, meas_axis.nbins
         offsets = (np.arange(quad_points) + 0.5) / quad_points
         # x nodes: (nx, Q)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .histogram import (Axis, Histogram, _load_json, _save_json, _whole_number,
-                        rebin_axes)
+from .errors import ConfigError, DimensionError, ParameterError
+from .histogram import (Axis, Histogram, _load_json, _real, _save_json,
+                        _whole_number, rebin_axes)
 from .response import _PAIR_BLOCK, ResponseMatrix, _closed_edges, _gaussian_kernel
 
 
@@ -29,16 +29,16 @@ def _gauss_cdf(z):
 
 @dataclass(frozen=True)
 class _Model:
-    """Base of the truth and smearing models.  A NaN or infinite parameter
-    would make every drawn value NaN without an error, so it is refused
-    here; `_check` then validates the model's own ranges."""
+    """Base of the truth and smearing models.  Every parameter must be a
+    finite number (a NaN or an infinity would make every drawn value NaN
+    without an error); `_LOW` maps a bounded one to its ``(low, strict)``
+    bound, see :func:`~unfolder.histogram._real`."""
+
+    _LOW = {}
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        self._check()
+            _real(f.name, getattr(self, f.name), *self._LOW.get(f.name, ()))
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class CauchyTruth(_Model):
 
     location: float = 0.0
     scale: float = 1.0
-
-    def _check(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+    _LOW = {"scale": (0.0, True)}
 
     def sample(self, rng, n):
         # in place, same operations in the same order as
@@ -71,10 +68,7 @@ class CauchyTruth(_Model):
 class GaussianTruth(_Model):
     mean: float = 0.0
     sigma: float = 1.0
-
-    def _check(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+    _LOW = {"sigma": (0.0, True)}
 
     def sample(self, rng, n):
         return rng.normal(self.mean, self.sigma, n)
@@ -94,12 +88,7 @@ class PowerlawTruth(_Model):
 
     exponent: float = 3.0
     scale_energy: float = 1.0
-
-    def _check(self):
-        if self.exponent <= 1:
-            raise ValueError("exponent must exceed 1")
-        if self.scale_energy <= 0:
-            raise ValueError("scale_energy must be positive")
+    _LOW = {"exponent": (1.0, True), "scale_energy": (0.0, True)}
 
     def sample(self, rng, n):
         # in place, same operations in the same order as
@@ -124,10 +113,7 @@ class GaussianSmearing(_Model):
     """Additive Gaussian noise: y = x + N(0, sigma)."""
 
     sigma: float = 1.0
-
-    def _check(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+    _LOW = {"sigma": (0.0, False)}
 
     def apply(self, rng, x):
         if self.sigma == 0:
@@ -154,10 +140,7 @@ class CalorimeterSmearing(_Model):
 
     stochastic_a: float = 1.15
     constant_b: float = 0.055
-
-    def _check(self):
-        if self.stochastic_a < 0 or self.constant_b < 0:
-            raise ValueError("resolution terms must be non-negative")
+    _LOW = {"stochastic_a": (0.0, False), "constant_b": (0.0, False)}
 
     def apply(self, rng, x):
         a, b = self.stochastic_a, self.constant_b
@@ -201,8 +184,10 @@ class Scenario:
         object.__setattr__(self, "entries", _whole_number("entries", self.entries, 1))
         object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
         extension, refine = self.rebin
-        rebin_axes(self.meas_axis, extension, refine)  # refuses a bad rebin
-        object.__setattr__(self, "rebin", (extension, int(refine)))  # 2.0 -> 2
+        rebin = (_real("extension_factor", extension, 1.0),
+                 _whole_number("refine_factor", refine, 1))
+        rebin_axes(self.meas_axis, *rebin)  # refuses an extension the axis cannot take
+        object.__setattr__(self, "rebin", rebin)
 
     @property
     def true_axis(self) -> Axis:
@@ -245,34 +230,25 @@ class Scenario:
             try:
                 return klass(**{f.name: need(entry, f.name, where)
                                 for f in fields(klass)})
-            except (TypeError, ValueError) as exc:
+            except ParameterError as exc:
                 raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
-
-        def checked(name, check, *args):
-            # the checks __post_init__ makes, each refusal naming its field
-            try:
-                return check(*args)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(str(exc), field=name) from exc
 
         truth = build(need(d, "truth"), _TRUTH_TYPES, "truth")
         smearing = build(need(d, "smearing"), _SMEARING_TYPES, "smearing")
-        entries = need(d, "entries")
-        seed = need(d, "seed")
+        entries, seed = need(d, "entries"), need(d, "seed")
         try:
             meas_axis = Axis.from_dict(need(d, "meas_axis"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
-        rebin_cfg = d.get("rebin", {})
-        extension = checked("rebin.extension_factor", float,
-                            rebin_cfg.get("extension_factor", 1.0))
-        refine = rebin_cfg.get("refine_factor", 1)
-        checked("entries", _whole_number, "entries", entries, 1)
-        checked("seed", _whole_number, "seed", seed, 0)
-        checked("rebin.refine_factor", _whole_number, "refine_factor", refine, 1)
-        checked("rebin.extension_factor", rebin_axes, meas_axis, extension)
-        return cls(truth=truth, smearing=smearing, entries=entries,
-                   seed=seed, meas_axis=meas_axis, rebin=(extension, refine))
+        rebin = d.get("rebin", {})
+        try:
+            return cls(truth=truth, smearing=smearing, entries=entries, seed=seed,
+                       meas_axis=meas_axis,
+                       rebin=(rebin.get("extension_factor", 1.0),
+                              rebin.get("refine_factor", 1)))
+        except ParameterError as exc:
+            field = f"rebin.{exc.name}" if exc.name.endswith("_factor") else exc.name
+            raise ConfigError(str(exc), field=field) from exc
 
     def save_json(self, path):
         _save_json(path, self.to_dict(), indent=1)
@@ -389,8 +365,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
     from concurrent.futures import ThreadPoolExecutor
     from .unfold import run
-    if n_experiments < 2:
-        raise ValueError("need at least 2 pseudo-experiments")
+    n_experiments = _whole_number("n_experiments", n_experiments, 2)
     if R.meas_axis != sc.meas_axis:
         raise DimensionError("response measured axis does not match the scenario")
     if seeds is None:

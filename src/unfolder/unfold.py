@@ -42,7 +42,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DecompositionError, DimensionError, NumericalFailureError
-from .histogram import Histogram
+from .histogram import Histogram, _real, _whole_number
 from .response import ResponseMatrix
 
 DEFAULT_MAX_ITERATIONS = 10000
@@ -182,23 +182,21 @@ class StoppingPolicy:
     def __post_init__(self):
         if self.rule not in ("fixed", "stat_fraction", "min_total"):
             raise ValueError(f"unknown stopping rule {self.rule!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        object.__setattr__(self, "max_iterations",
+                           _whole_number("max_iterations", self.max_iterations, 1))
         if self.rule == "fixed":
-            if self.order is None or self.order < 0:
-                raise ValueError("fixed rule needs an order >= 0")
+            object.__setattr__(self, "order", _whole_number("order", self.order, 0))
         if self.rule == "stat_fraction":
-            if self.threshold is None or not 0.0 < self.threshold < 1.0:
-                raise ValueError("stat_fraction threshold must be in (0, 1)")
+            object.__setattr__(self, "threshold", _real(
+                "threshold", self.threshold, 0.0, strict=True, high=1.0))
 
     @classmethod
     def fixed(cls, order, max_iterations=DEFAULT_MAX_ITERATIONS):
-        return cls("fixed", order=int(order), max_iterations=max_iterations)
+        return cls("fixed", order=order, max_iterations=max_iterations)
 
     @classmethod
     def stat_fraction(cls, threshold, max_iterations=DEFAULT_MAX_ITERATIONS):
-        return cls("stat_fraction", threshold=float(threshold),
-                   max_iterations=max_iterations)
+        return cls("stat_fraction", threshold=threshold, max_iterations=max_iterations)
 
     @classmethod
     def min_total(cls, max_iterations=DEFAULT_MAX_ITERATIONS):

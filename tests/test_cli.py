@@ -343,7 +343,7 @@ class TestNonFiniteScenario:
             ' "meas_axis": {"low": -5.0, "high": 5.0, "nbins": 10}}')
         assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert "mean must be finite" in err and "field: truth" in err
+        assert "mean must be a finite number" in err and "field: truth" in err
         assert not (tmp_path / "o" / "measured.json").exists()
 
 
@@ -459,9 +459,10 @@ class TestSystAxis:
 
 class TestBadFactors:
     """A non-finite or too small --rebin factor, a non-finite --sigma, and a
-    scenario seed, entries or rebin out of range or not a whole number are
-    usage errors (exit 2) that name the option or field; none reaches the
-    numerics."""
+    scenario number (seed, entries, axis, rebin factor or model parameter)
+    out of range, not a whole number where one is due, a string or a bool
+    are usage errors (exit 2) that name the option or field; none reaches
+    the numerics."""
 
     @pytest.mark.parametrize("rebin", ["inf,1", "nan,1", "-inf,1", "0.5,1", "1.5,0"])
     def test_rebin_exits_2(self, sim_dir, tmp_path, capsys, rebin):
@@ -496,7 +497,13 @@ class TestBadFactors:
         ({"rebin": {"extension_factor": 0.5, "refine_factor": 1}}, "extension_factor"),
         ({"rebin": {"extension_factor": 1.0, "refine_factor": 0}}, "refine_factor"),
         ({"rebin": {"extension_factor": 1.0, "refine_factor": 2.9}}, "refine_factor"),
-        ({"rebin": {"extension_factor": 1.0, "refine_factor": float("inf")}}, "refine_factor")])
+        ({"rebin": {"extension_factor": 1.0, "refine_factor": float("inf")}}, "refine_factor"),
+        ({"meas_axis": {"low": -5.0, "high": 5.0, "nbins": 48.7}}, "meas_axis"),
+        ({"meas_axis": {"low": -5.0, "high": 5.0, "nbins": "48"}}, "meas_axis"),
+        ({"meas_axis": {"low": -5.0, "high": 5.0, "nbins": True}}, "meas_axis"),
+        ({"rebin": {"extension_factor": "1.5", "refine_factor": 1}}, "extension_factor"),
+        ({"rebin": {"extension_factor": True, "refine_factor": 1}}, "extension_factor"),
+        ({"smearing": {"type": "gaussian_convolution", "sigma": True}}, "smearing")])
     def test_scenario_exits_2(self, tmp_path, capsys, change, field):
         # json writes inf and nan as the Infinity and NaN tokens, which it reads
         config ={"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},

@@ -33,6 +33,21 @@ class TestAxis:
             with pytest.raises(ValueError, match="widths must be finite"):
                 uf.Axis.from_dict({"edges": edges})
 
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_refuses_an_overflowing_span_without_warning(self):
+        # np.linspace warned twice and Axis then refused NaN edges
+        with pytest.raises(ValueError, match="span from -1.7e[+]308 to 1.7e[+]308"):
+            uf.Axis.uniform(-1.7e308, 1.7e308, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_centers_finite_where_the_edge_sum_overflows(self):
+        centers = uf.Axis([1e308, 1.7e308, 1.75e308]).centers
+        assert centers.tolist() == [1.35e308, 1.725e308]
+        # elsewhere the midpoint keeps its former rounding
+        edges = [-10.0, -9.8, 0.1, 0.3, 7.0]
+        assert uf.Axis(edges).centers.tolist() == [
+            0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
+
 
 class TestHistogram:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -239,3 +254,118 @@ class TestScenarioRanges:
                               kwargs.get("rebin", (1.0, 1))))
         with pytest.raises(uf.ConfigError, match=match):
             uf.Scenario.from_dict(d)
+
+
+def _ensemble(n_experiments):
+    sc = uf.Scenario(truth=uf.CauchyTruth(), smearing=uf.GaussianSmearing(1.0),
+                     entries=50, seed=1, meas_axis=AXIS)
+    return uf.pseudo_experiments(sc, n_experiments, uf.ResponseMatrix(AXIS, AXIS, np.eye(3)),
+                                 uf.StoppingPolicy.fixed(1), workers=1)
+
+
+def _kernel_response(quad_points):
+    return uf.ResponseMatrix.from_kernel(uf.GaussianSmearing(1.0).kernel(), AXIS, AXIS,
+                                         quad_points=quad_points)
+
+
+def _model(side, klass, kind, name, **params):
+    """build, scenario change and field of one model parameter"""
+    return (lambda v: klass(**{**params, name: v}),
+            lambda v: {side: {"type": kind, **params, name: v}}, side)
+
+
+# every entry point of a scalar count, order or factor: the parameter, the
+# refused value below its range (None when it has no bound), whether it is
+# a whole number, how to build with it, and for the scenario's fields the
+# change to a scenario dict and the field a refusal names
+NUMBER_RULE = [
+    ("nbins", 0, True, lambda v: uf.Axis.uniform(-1.0, 1.0, v),
+     lambda v: {"meas_axis": {"low": -1.0, "high": 1.0, "nbins": v}}, "meas_axis"),
+    ("low", None, False, lambda v: uf.Axis.uniform(v, 1.0, 4),
+     lambda v: {"meas_axis": {"low": v, "high": 1.0, "nbins": 4}}, "meas_axis"),
+    ("high", None, False, lambda v: uf.Axis.uniform(-1.0, v, 4),
+     lambda v: {"meas_axis": {"low": -1.0, "high": v, "nbins": 4}}, "meas_axis"),
+    ("extension_factor", 0.5, False, lambda v: uf.rebin_axes(AXIS, v, 1),
+     lambda v: {"rebin": {"extension_factor": v, "refine_factor": 1}},
+     "rebin.extension_factor"),
+    ("refine_factor", 0, True, lambda v: uf.rebin_axes(AXIS, 1.0, v),
+     lambda v: {"rebin": {"extension_factor": 1.0, "refine_factor": v}},
+     "rebin.refine_factor"),
+    ("location", None, False, *_model("truth", uf.CauchyTruth, "cauchy", "location",
+                                      scale=1.0)),
+    ("scale", 0.0, False, *_model("truth", uf.CauchyTruth, "cauchy", "scale", location=0.0)),
+    ("mean", None, False, *_model("truth", uf.GaussianTruth, "gaussian", "mean", sigma=1.0)),
+    ("sigma", 0.0, False, *_model("truth", uf.GaussianTruth, "gaussian", "sigma", mean=0.0)),
+    ("exponent", 1.0, False, *_model("truth", uf.PowerlawTruth, "powerlaw_spectrum",
+                                     "exponent", scale_energy=1.0)),
+    ("scale_energy", 0.0, False, *_model("truth", uf.PowerlawTruth, "powerlaw_spectrum",
+                                         "scale_energy", exponent=3.0)),
+    ("sigma", -0.5, False, *_model("smearing", uf.GaussianSmearing, "gaussian_convolution",
+                                   "sigma")),
+    ("stochastic_a", -0.1, False, *_model("smearing", uf.CalorimeterSmearing, "calorimeter",
+                                          "stochastic_a", constant_b=0.05)),
+    ("constant_b", -0.1, False, *_model("smearing", uf.CalorimeterSmearing, "calorimeter",
+                                        "constant_b", stochastic_a=1.0)),
+    ("entries", 0, True,
+     lambda v: uf.Scenario(uf.CauchyTruth(), uf.GaussianSmearing(1.0), v, 1, AXIS),
+     lambda v: {"entries": v}, "entries"),
+    ("seed", -1, True,
+     lambda v: uf.Scenario(uf.CauchyTruth(), uf.GaussianSmearing(1.0), 10, v, AXIS),
+     lambda v: {"seed": v}, "seed"),
+    ("order", -1, True, uf.StoppingPolicy.fixed, None, None),
+    ("threshold", 0.0, False, uf.StoppingPolicy.stat_fraction, None, None),
+    ("max_iterations", 0, True, lambda v: uf.StoppingPolicy.min_total(max_iterations=v),
+     None, None),
+    ("quad_points", 0, True, _kernel_response, None, None),
+    ("k_override", None, False,
+     lambda v: uf.ResponseMatrix(AXIS, AXIS, np.eye(3), k_override=v), None, None),
+    ("n_experiments", 1, True, _ensemble, None, None),
+]
+
+
+def _bad_cases():
+    for name, below, whole, build, config, field in NUMBER_RULE:
+        bad = {"bool": True, "string": "3", "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+        if whole:
+            bad["fraction"] = 2.5
+        if below is not None:
+            bad["below"] = below
+        for kind, value in bad.items():
+            yield pytest.param(name, build, config, field, value,
+                               id=f"{name}-{field or 'library'}-{kind}")
+
+
+def _key(result):
+    if isinstance(result, uf.ResponseMatrix):
+        return result.matrix.tobytes(), result.k_factor
+    return repr(result)
+
+
+class TestOneNumberRule:
+    """Every count, order and factor is checked once where it enters, by
+    one rule: a bool, a string, a fraction where a whole number is due, a
+    non-finite value or one below the range is refused with a ValueError
+    that names the parameter (``ParameterError.name``), and a scenario
+    names the field that holds it (ConfigError, CLI exit 2)."""
+
+    @pytest.mark.parametrize("name, build, config, field, value", _bad_cases())
+    def test_refused_by_name(self, name, build, config, field, value):
+        with pytest.raises(ValueError, match=name) as exc:
+            build(value)
+        assert exc.value.name == name
+        if config is not None:
+            d = {**scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING), **config(value)}
+            with pytest.raises(uf.ConfigError, match=name) as exc:
+                uf.Scenario.from_dict(d)
+            assert exc.value.field == field
+
+    @pytest.mark.parametrize("name, build", [
+        pytest.param(name, build, id=name)
+        for name, _, whole, build, *_ in NUMBER_RULE if whole])
+    def test_integral_float_is_read_as_int(self, name, build):
+        assert _key(build(3.0)) == _key(build(3))
+
+    def test_threshold_above_range(self):
+        with pytest.raises(ValueError, match="threshold") as exc:
+            uf.StoppingPolicy.stat_fraction(1.0)
+        assert exc.value.name == "threshold"
