@@ -49,7 +49,8 @@ import numpy as np
 
 # each subcommand imports the rest of the package it runs, and no more
 from .errors import (ConfigError, DecompositionError, DegenerateOperatorError,
-                     DimensionError, NumericalFailureError, UnfoldingError)
+                     DimensionError, NumericalFailureError, ParameterError,
+                     UnfoldingError)
 from .histogram import (Axis, Histogram, _real, _whole_number, l1_distance,
                         rebin_axes)
 from .response import (DEFAULT_QUAD_POINTS, ResponseMatrix, _gaussian_kernel,
@@ -186,8 +187,10 @@ def _cmd_unfold(args):
                 "rebuilt on the derived true axis", field="rebin")
         rm = ResponseMatrix.load_json(args.response)
     else:
-        rebin = args.rebin or (1.0, 1)
-        true_axis = rebin_axes(measured.axis, *rebin)
+        try:
+            true_axis = rebin_axes(measured.axis, *(args.rebin or (1.0, 1)))
+        except ParameterError as exc:
+            raise ConfigError(str(exc), field="rebin") from exc
         rm = _build_response(args, measured.axis, true_axis)
     offset = None if args.syst is None else Histogram.load_json(args.syst)
     if offset is not None and offset.axis != measured.axis:
@@ -197,15 +200,10 @@ def _cmd_unfold(args):
     if args.trace:
         _write_trace(args.trace, outcome.trace)
     if args.svg:
-        from .svg import Series, write as write_svg
-        series = [Series(measured, "measured")]
-        if args.truth:
-            series.append(Series(Histogram.load_json(args.truth), "truth",
-                                 color="#2c2c2c", dashed=True, error_bars=False))
-        series.insert(1, Series(outcome.result, f"unfolded (N={outcome.stopped_at})",
-                                color="#d62728"))
-        write_svg(args.svg, series, x_label="x", y_label="content per bin",
-                  log_y=args.log_y, title="unfolded spectrum")
+        from .svg import write as write_svg
+        write_svg(args.svg, measured, outcome.result, f"unfolded (N={outcome.stopped_at})",
+                  truth=Histogram.load_json(args.truth) if args.truth else None,
+                  log_y=args.log_y)
     last = outcome.trace[outcome.stopped_at]
     flag = " (truncated at iteration cap)" if outcome.truncated else ""
     print(f"stopped at order {outcome.stopped_at}{flag}; "

@@ -57,8 +57,8 @@ def _real(name, value, low=-math.inf, strict=False, high=math.inf):
     return float(value)
 
 
-def _frozen(values, dtype=np.float64):
-    out = np.array(values, dtype=dtype, copy=True)
+def _frozen(values):
+    out = np.array(values, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
 
@@ -339,6 +339,20 @@ def l1_distance(a: Histogram, b: Histogram) -> float:
     return float(np.abs(a.contents - b.contents).sum())
 
 
+# The README's scope is dense responses of at most a few thousand bins.  At
+# 10,000 true bins the recursion's nx × nx operator K⁻¹AᵀA alone holds 800 MB
+# of float64, and each tenfold more bins costs a hundredfold more memory, so
+# rebin_axes refuses a larger axis before building it: a huge factor is then
+# a usage error naming it, not a MemoryError or a run that never ends.
+MAX_BINS = 10_000
+
+
+def _at_most_max_bins(name, nbins):
+    if not nbins <= MAX_BINS:
+        raise ParameterError(f"{name} would make {nbins:.6g} bins, more than "
+                             f"the {MAX_BINS} a rebinned axis may have", name)
+
+
 def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Axis:
     """True-side axis covering a wider span with finer bins.
 
@@ -351,17 +365,18 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
 
     Extension beyond 1 requires a uniform measured axis (there is no
     canonical width to continue a non-uniform one with); refinement works
-    for any axis.
+    for any axis.  A factor that would make more than :data:`MAX_BINS` bins
+    is refused by name.
     """
-    # no more bins than an array can hold
-    extension_factor = _real("extension_factor", extension_factor, 1.0,
-                             high=np.iinfo(np.intp).max / measured_axis.nbins)
+    extension_factor = _real("extension_factor", extension_factor, 1.0)
     refine_factor = _whole_number("refine_factor", refine_factor, 1)
     edges = measured_axis.edges
     if extension_factor > 1:
         if not measured_axis.is_uniform():
             raise ParameterError("domain extension requires a uniform measured "
                                  "axis", "extension_factor")
+        # each bin count is checked before its edges are built
+        _at_most_max_bins("extension_factor", measured_axis.nbins * extension_factor)
         span = edges[-1] - edges[0]
         width = span / measured_axis.nbins
         n = int(round(span * extension_factor / width))
@@ -370,6 +385,7 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
         edges = low + width * np.arange(n + 1)
     if refine_factor == 1:
         return Axis(edges)
+    _at_most_max_bins("refine_factor", (edges.size - 1) * refine_factor)
     pieces = [np.linspace(lo, hi, refine_factor + 1)[:-1]
               for lo, hi in zip(edges[:-1], edges[1:])]
     pieces.append(edges[-1:])

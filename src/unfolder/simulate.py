@@ -329,19 +329,14 @@ class EnsembleStats:
 
 
 def _worker_count(workers, n_experiments):
-    """Threads for `n_experiments` experiments: `workers`, else
-    UNFOLDER_THREADS, else 1; never more than the experiments or the CPUs."""
-    if workers is None:
-        try:
-            workers = int(os.environ.get("UNFOLDER_THREADS", "1"))
-        except ValueError:
-            workers = 1
+    """Threads for `n_experiments` experiments: `workers`, but at least 1
+    and never more than the experiments or the CPUs."""
     return max(1, min(int(workers), n_experiments, os.cpu_count() or 1))
 
 
 def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
                        policy: StoppingPolicy, poisson_total=True,
-                       workers=None, seeds=None) -> EnsembleStats:
+                       workers=1, seeds=None) -> EnsembleStats:
     """Ensemble of independently re-sampled measurements, unfolded at a
     common order.
 
@@ -357,10 +352,9 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     draw of 0 included, which makes the bin contents exactly independent
     Poisson variates; otherwise the total is fixed (multinomial bins).
 
-    `workers` threads parallelize the sample generation (default from the
-    UNFOLDER_THREADS environment variable, clamped to the number of
-    experiments and of CPUs); results are bit-identical for any worker
-    count.
+    `workers` threads parallelize the sample generation (clamped to the
+    number of experiments and of CPUs); results are bit-identical for any
+    worker count.
     """
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
     from concurrent.futures import ThreadPoolExecutor

@@ -1,6 +1,6 @@
-"""Minimal static SVG plots for histograms.
-
-Step outlines with optional error bars, linear or logarithmic y axis.
+"""Minimal static SVG plot of an unfolding: the measured and unfolded
+histograms as step outlines with error bars, and optionally the truth as a
+dashed outline without; linear or logarithmic y axis.
 Output is deterministic: no timestamps, no external assets.
 """
 
@@ -8,22 +8,13 @@ from __future__ import annotations
 
 import html
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 WIDTH, HEIGHT = 880, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 24, 46
-PALETTE = ("#1f77b4", "#d62728", "#2c2c2c", "#2ca02c", "#9467bd")
-
-
-@dataclass
-class Series:
-    histogram: object
-    label: str = ""
-    color: str = ""
-    error_bars: bool = True
-    dashed: bool = False
+PALETTE = ("#1f77b4", "#d62728", "#2c2c2c")  # measured, unfolded, truth
+TITLE, X_LABEL, Y_LABEL = "unfolded spectrum", "x", "content per bin"
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -62,18 +53,22 @@ def _fmt(v):
     return f"{v:g}"
 
 
-def render(series, x_label="", y_label="", title="", log_y=False) -> str:
-    """Render a list of :class:`Series` to an SVG document string."""
-    x_lo = min(s.histogram.axis.low for s in series)
-    x_hi = max(s.histogram.axis.high for s in series)
+def render(measured, unfolded, label, truth=None, log_y=False) -> str:
+    """SVG document string overlaying `measured`, `unfolded` (named `label`
+    in the legend) and, when given, `truth`."""
+    # (histogram, legend label, dashed); a dashed outline has no error bars
+    series = [(measured, "measured", False), (unfolded, label, False)]
+    if truth is not None:
+        series.append((truth, "truth", True))
+    x_lo = min(h.axis.low for h, _, _ in series)
+    x_hi = max(h.axis.high for h, _, _ in series)
 
     y_vals = []
-    for s in series:
-        c = np.asarray(s.histogram.contents, dtype=float)
-        e = s.histogram.stat_err
+    for h, _, dashed in series:
+        c = np.asarray(h.contents, dtype=float)
         y_vals.append(c)
-        if s.error_bars and e is not None:
-            y_vals.extend([c - e, c + e])
+        if not dashed:
+            y_vals.extend([c - h.stat_err, c + h.stat_err])
     y_all = np.concatenate(y_vals)
     if log_y:
         positive = y_all[y_all > 0]
@@ -121,17 +116,15 @@ def render(series, x_label="", y_label="", title="", log_y=False) -> str:
         out.append(f'<text x="{xx:.2f}" y="{MARGIN_T + ph + 18}" font-size="12" '
                    f'text-anchor="middle" font-family="sans-serif">{_fmt(t)}</text>')
 
-    for idx, s in enumerate(series):
-        color = s.color or PALETTE[idx % len(PALETTE)]
-        h = s.histogram
+    for (h, _, dashed), color in zip(series, PALETTE):
         edges = h.axis.edges
         contents = h.contents
         pts = [f"{px(x):.2f},{py(c):.2f}"
                for c, lo, hi in zip(contents, edges, edges[1:]) for x in (lo, hi)]
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
         out.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"{dash}/>')
-        if s.error_bars and h.stat_err is not None:
+        if not dashed:
             centers = h.axis.centers
             for i in range(h.nbins):
                 if h.stat_err[i] == 0:
@@ -143,31 +136,26 @@ def render(series, x_label="", y_label="", title="", log_y=False) -> str:
 
     # legend, top right inside the frame
     ly = MARGIN_T + 16
-    for idx, s in enumerate(series):
-        if not s.label:
-            continue
-        color = s.color or PALETTE[idx % len(PALETTE)]
+    for (_, label, _), color in zip(series, PALETTE):
         lx = WIDTH - MARGIN_R - 170
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 30}" y="{ly}" font-size="12" '
-                   f'font-family="sans-serif">{html.escape(s.label)}</text>')
+                   f'font-family="sans-serif">{html.escape(label)}</text>')
         ly += 16
 
-    if title:
-        out.append(f'<text x="{MARGIN_L}" y="{MARGIN_T - 8}" font-size="13" '
-                   f'font-family="sans-serif">{html.escape(title)}</text>')
-    if x_label:
-        out.append(f'<text x="{MARGIN_L + pw / 2:.0f}" y="{HEIGHT - 8}" font-size="13" '
-                   f'text-anchor="middle" font-family="sans-serif">{html.escape(x_label)}</text>')
-    if y_label:
-        out.append(f'<text x="16" y="{MARGIN_T + ph / 2:.0f}" font-size="13" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.0f})">{html.escape(y_label)}</text>')
+    out.append(f'<text x="{MARGIN_L}" y="{MARGIN_T - 8}" font-size="13" '
+               f'font-family="sans-serif">{TITLE}</text>')
+    out.append(f'<text x="{MARGIN_L + pw / 2:.0f}" y="{HEIGHT - 8}" font-size="13" '
+               f'text-anchor="middle" font-family="sans-serif">{X_LABEL}</text>')
+    out.append(f'<text x="16" y="{MARGIN_T + ph / 2:.0f}" font-size="13" '
+               f'text-anchor="middle" font-family="sans-serif" '
+               f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.0f})">{Y_LABEL}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def write(path, series, **kwargs):
+def write(path, *args, **kwargs):
+    """Write :func:`render`'s document to `path`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(series, **kwargs))
+        fh.write(render(*args, **kwargs))

@@ -241,13 +241,17 @@ def init(R: ResponseMatrix, g: Histogram, syst=None, covariance=None) -> Iterate
     a = R.matrix
     bt = a.T / R.k_factor  # K⁻¹Aᵀ
     if covariance is not None:
-        e_meas = covariance_sqrt(covariance)
+        e0 = bt @ covariance_sqrt(covariance)
+    elif g.stat_err is None:
+        raise ValueError("measured histogram carries no statistical errors")
     else:
-        if g.stat_err is None:
-            raise ValueError("measured histogram carries no statistical errors")
-        e_meas = np.diag(g.stat_err)
+        # bt @ diag(stat_err) without the ny × ny matrix: each entry is one
+        # product either way, so the bits are the same (but for the sign of
+        # a zero where an error is -0.0).  C order, as the product returns
+        # it: `step` and `stat_summary` give other bits for bt's transposed
+        # layout
+        e0 = np.multiply(bt, g.stat_err, order="C")
     f0 = bt @ g.contents
-    e0 = bt @ e_meas
     m0 = bt @ a
     delta_f0 = None if syst is None else _image(bt, R, syst)
     return IterateState(n=0, f_n=f0, e_n=e0, f0=f0, e0=e0, m0=m0,

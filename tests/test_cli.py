@@ -458,11 +458,12 @@ class TestSystAxis:
 
 
 class TestBadFactors:
-    """A non-finite or too small --rebin factor, a non-finite --sigma, and a
-    scenario number (seed, entries, axis, rebin factor or model parameter)
-    out of range, not a whole number where one is due, a string or a bool
-    are usage errors (exit 2) that name the option or field; none reaches
-    the numerics."""
+    """A non-finite or too small --rebin factor, or one that would make more
+    than MAX_BINS true bins, a non-finite --sigma, and a scenario number
+    (seed, entries, axis, rebin factor or model parameter) out of range,
+    not a whole number where one is due, a string or a bool are usage
+    errors (exit 2) that name the option or field; none reaches the
+    numerics."""
 
     @pytest.mark.parametrize("rebin", ["inf,1", "nan,1", "-inf,1", "0.5,1", "1.5,0"])
     def test_rebin_exits_2(self, sim_dir, tmp_path, capsys, rebin):
@@ -472,6 +473,15 @@ class TestBadFactors:
                     "--stop", "fixed=3", "--out", str(tmp_path / "o.json"))
         assert exc.value.code == 2
         assert "--rebin" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("rebin", ["1e7,1", "1e300,1", "1,101"])
+    def test_rebin_beyond_max_bins_exits_2(self, sim_dir, tmp_path, capsys, rebin):
+        # 100 measured bins: each factor would make more than MAX_BINS
+        assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--kernel", "gauss", "--sigma", "1", f"--rebin={rebin}",
+                       "--stop", "fixed=3", "--out", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err.endswith(" (field: rebin)\n")
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0", "-1"])
@@ -503,7 +513,9 @@ class TestBadFactors:
         ({"meas_axis": {"low": -5.0, "high": 5.0, "nbins": True}}, "meas_axis"),
         ({"rebin": {"extension_factor": "1.5", "refine_factor": 1}}, "extension_factor"),
         ({"rebin": {"extension_factor": True, "refine_factor": 1}}, "extension_factor"),
-        ({"smearing": {"type": "gaussian_convolution", "sigma": True}}, "smearing")])
+        ({"smearing": {"type": "gaussian_convolution", "sigma": True}}, "smearing"),
+        ({"rebin": {"extension_factor": 1e9, "refine_factor": 1}}, "extension_factor"),
+        ({"rebin": {"extension_factor": 1.0, "refine_factor": 10**9}}, "refine_factor")])
     def test_scenario_exits_2(self, tmp_path, capsys, change, field):
         # json writes inf and nan as the Infinity and NaN tokens, which it reads
         config ={"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},

@@ -1,6 +1,7 @@
 """The samplers and the measured-only path of pseudo_experiments are pinned
 bit for bit to the plain expressions and to generate()."""
 
+import inspect
 import json
 from dataclasses import replace
 from importlib import resources
@@ -106,13 +107,11 @@ class TestWorkerCount:
         assert simulate._worker_count(0, 1000) == 1
         assert simulate._worker_count(-7, 1000) == 1
 
-    def test_environment_is_clamped(self, monkeypatch):
-        assert simulate._worker_count(None, 1000) == 1
+    def test_environment_is_ignored(self, monkeypatch):
+        # the workers argument is the only thread setting; its default is 1
+        default = inspect.signature(uf.pseudo_experiments).parameters["workers"].default
         monkeypatch.setenv("UNFOLDER_THREADS", str(10**6))
-        assert simulate._worker_count(None, 1000) == 8
-        assert simulate._worker_count(None, 2) == 2
-        monkeypatch.setenv("UNFOLDER_THREADS", "many")
-        assert simulate._worker_count(None, 1000) == 1
+        assert simulate._worker_count(default, 1000) == 1
 
     def test_argument_overrides_environment(self, monkeypatch):
         monkeypatch.setenv("UNFOLDER_THREADS", "6")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder import simulate
 from unfolder.errors import ConfigError
 
 
@@ -136,12 +138,19 @@ class TestPseudoExperiments:
         assert sel.sum() >= 10
         assert rel.max() < 0.15
 
-    def test_worker_env_var_does_not_change_results(self, monkeypatch):
+    def test_worker_env_var_is_ignored(self, monkeypatch):
+        # without a workers argument the samples are drawn on one thread
         sc = flat_scenario(entries=500)
         rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
         a = uf.pseudo_experiments(sc, 6, rm, uf.StoppingPolicy.fixed(0))
         monkeypatch.setenv("UNFOLDER_THREADS", "3")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        pools = []
+        pool = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
         b = uf.pseudo_experiments(sc, 6, rm, uf.StoppingPolicy.fixed(0))
+        assert pools == [1]
         np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_worker_count_does_not_change_results(self):

@@ -54,6 +54,20 @@ class TestInit:
                 for j in range(6)]) / rm.k_factor
             assert np.abs(s.f_n - oracle).max() < 1e-13
 
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 200), ny=st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_error_square_root_is_the_dense_product(self, seed, nx, ny):
+        # K⁻¹Aᵀ scaled column by column: the bits and the (C) layout of
+        # K⁻¹Aᵀ @ diag(stat_err), zero errors included
+        rng = np.random.default_rng(seed)
+        rm = random_system(rng, nx, ny)
+        stat_err = rng.uniform(0.0, 10.0, ny) * (rng.random(ny) < 0.8)
+        g = uf.Histogram(rm.meas_axis, rng.uniform(0.0, 100.0, ny), stat_err=stat_err)
+        e0 = uf.init(rm, g).e0
+        dense = (rm.matrix.T / rm.k_factor) @ np.diag(stat_err)
+        assert e0.flags.c_contiguous
+        assert e0.tobytes() == dense.tobytes()
+
     def test_requires_stat_errors(self):
         ax, rm = identity_system(2)
         with pytest.raises(ValueError):
@@ -352,6 +366,37 @@ class TestRun:
             m = a.T @ a / uf.compute_k(a)
             eig = np.linalg.eigvalsh(np.eye(n) - m)
             assert eig.min() > -1e-10 and eig.max() <= 1.0 + 1e-12
+
+
+class TestSampledCovariance:
+    """``e_n e_nᵀ`` is the covariance of ``f_N`` over measurements g drawn
+    from N(mu, diag(sigma²)).  The sample covariance of m Gaussian vectors is
+    Wishart, with ``var(Ĉ_ij) = (C_ii C_jj + C_ij²) / (m - 1)``; every entry
+    must lie within 5 such standard errors of ``C_N``.  Derandomized, so
+    the same draws run every time."""
+
+    M = 4000
+
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 8), ny=st.integers(1, 8))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_matches_propagated_covariance(self, seed, nx, ny):
+        rng = np.random.default_rng(seed)
+        rm = random_system(rng, nx, ny)
+        mu, sigma = rng.uniform(0.0, 100.0, ny), rng.uniform(0.1, 10.0, ny)
+        s = uf.init(rm, uf.Histogram(rm.meas_axis, mu, stat_err=sigma))
+        # f_N of every draw at once, one column each
+        f0 = (rm.matrix.T / rm.k_factor) @ (mu + sigma * rng.standard_normal((self.M, ny))).T
+        f = f0
+        for n in range(11):
+            if n in (0, 1, 10):
+                d = f - f.mean(axis=1, keepdims=True)
+                sampled = d @ d.T / (self.M - 1)
+                c = s.covariance
+                var = np.diag(c)
+                se = np.sqrt((np.outer(var, var) + c * c) / (self.M - 1))
+                assert np.all(np.abs(sampled - c) <= 5 * se)
+            f = f + (f0 - s.m0 @ f)
+            s = uf.step(s)
 
 
 class TestNoiselessConsistency:

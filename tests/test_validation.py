@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder.histogram import MAX_BINS
 
 AXIS = uf.Axis.uniform(0.0, 3.0, 3)
 
@@ -240,7 +241,10 @@ class TestScenarioRanges:
         ({"rebin": (np.nan, 1)}, "extension_factor"),
         ({"rebin": (1.0, 0)}, "refine_factor"),
         ({"rebin": (1.0, 2.9)}, "refine_factor"),
-        ({"rebin": (1.0, True)}, "refine_factor")])
+        ({"rebin": (1.0, True)}, "refine_factor"),
+        ({"rebin": (1e9, 1)}, "extension_factor"),
+        ({"rebin": (1e300, 1)}, "extension_factor"),
+        ({"rebin": (1.0, 10**9)}, "refine_factor")])
     def test_scenario_refuses(self, change, match):
         # a fraction, a string or a bool is refused by name, not truncated
         kwargs = {"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
@@ -254,6 +258,34 @@ class TestScenarioRanges:
                               kwargs.get("rebin", (1.0, 1))))
         with pytest.raises(uf.ConfigError, match=match):
             uf.Scenario.from_dict(d)
+
+
+class TestRebinCeiling:
+    """rebin_axes makes at most MAX_BINS bins: a factor that would make more
+    is refused by name before the axis is built."""
+
+    AXIS_100 = uf.Axis.uniform(0.0, 1.0, 100)
+
+    @pytest.mark.parametrize("factors", [(100.0, 1), (1.0, 100), (2.0, 50)])
+    def test_ceiling_is_reached(self, factors):
+        assert uf.rebin_axes(self.AXIS_100, *factors).nbins == MAX_BINS
+
+    @pytest.mark.parametrize("factors, name", [
+        ((100.01, 1), "extension_factor"),
+        ((1e7, 1), "extension_factor"),
+        ((1e300, 1), "extension_factor"),
+        ((1.0, 101), "refine_factor"),
+        ((2.0, 51), "refine_factor"),
+        ((1.0, 10**30), "refine_factor")])
+    def test_beyond_ceiling_refused_by_name(self, factors, name):
+        with pytest.raises(uf.ParameterError, match=f"{name} would make") as exc:
+            uf.rebin_axes(self.AXIS_100, *factors)
+        assert exc.value.name == name
+
+    def test_measured_axis_above_ceiling_is_kept(self):
+        # the ceiling bounds the bins rebin_axes makes, not the input's
+        axis = uf.Axis.uniform(0.0, 1.0, 2 * MAX_BINS)
+        assert uf.rebin_axes(axis, 1.0, 1) == axis
 
 
 def _ensemble(n_experiments):
