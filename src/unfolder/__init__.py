@@ -16,52 +16,44 @@ Main entry points:
 * :func:`naive_invert` - the unregularized baseline for comparison;
 * :mod:`unfolder.simulate` - synthetic scenarios and pseudo-experiments.
 
-Public names are resolved on first use (PEP 562), so ``import unfolder``
-does not load numpy until one of them is needed.
+Public names are resolved on first use (PEP 562), and each loads only the
+module that defines it, so ``import unfolder`` does not load numpy until a
+name that needs it is used.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis", "Histogram", "l1_distance", "normalize", "rebin_axes",
-    "ResponseMatrix", "compute_k", "read_pairs_csv", "write_pairs_csv",
-    "IterateState", "ErrorBudget", "StoppingPolicy", "UnfoldResult",
-    "init", "step", "run", "bias_bound", "syst_bound", "stat_summary",
-    "covariance_sqrt", "harmonic_number", "l2_density_norm",
-    "naive_invert", "kernel_projection", "kernel_projector", "condition_number",
-    "Scenario", "CauchyTruth", "GaussianTruth", "PowerlawTruth",
-    "GaussianSmearing", "CalorimeterSmearing", "GenerateResult",
-    "EnsembleStats", "generate", "pseudo_experiments",
-    "UnfoldingError", "DimensionError", "NormalizationError",
-    "InvalidKernelError", "ConstructionError", "DegenerateOperatorError",
-    "DecompositionError", "NumericalFailureError", "ParameterError", "ConfigError",
-    "__version__",
-]
+# the one list of public names, by the module that defines them
+_NAMES = {
+    "errors": ("UnfoldingError", "DimensionError", "NormalizationError", "InvalidKernelError",
+               "ConstructionError", "DegenerateOperatorError", "DecompositionError",
+               "NumericalFailureError", "ParameterError", "ConfigError"),
+    "histogram": ("Axis", "Histogram", "l1_distance", "normalize", "rebin_axes"),
+    "response": ("ResponseMatrix", "compute_k", "read_pairs_csv", "write_pairs_csv"),
+    "unfold": ("IterateState", "ErrorBudget", "StoppingPolicy", "UnfoldResult", "init",
+               "step", "run", "bias_bound", "syst_bound", "stat_summary", "covariance_sqrt",
+               "harmonic_number", "l2_density_norm"),
+    "baseline": ("naive_invert", "kernel_projection", "kernel_projector", "condition_number"),
+    "simulate": ("Scenario", "CauchyTruth", "GaussianTruth", "PowerlawTruth",
+                 "GaussianSmearing", "CalorimeterSmearing", "GenerateResult", "EnsembleStats",
+                 "generate", "pseudo_experiments"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
-
-def _public_names():
-    from .baseline import condition_number, kernel_projection, kernel_projector, naive_invert
-    from .errors import (ConfigError, ConstructionError, DecompositionError,
-                         DegenerateOperatorError, DimensionError, InvalidKernelError,
-                         NormalizationError, NumericalFailureError, ParameterError,
-                         UnfoldingError)
-    from .histogram import Axis, Histogram, l1_distance, normalize, rebin_axes
-    from .response import ResponseMatrix, compute_k, read_pairs_csv, write_pairs_csv
-    from .simulate import (CalorimeterSmearing, CauchyTruth, EnsembleStats,
-                           GaussianSmearing, GaussianTruth, GenerateResult,
-                           PowerlawTruth, Scenario, generate, pseudo_experiments)
-    from .unfold import (ErrorBudget, IterateState, StoppingPolicy, UnfoldResult,
-                         bias_bound, covariance_sqrt, harmonic_number, init,
-                         l2_density_norm, run, stat_summary, step, syst_bound)
-    return locals()
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):
-    # runs once: afterwards every public name is a module global, which
-    # attribute lookup finds before it falls back to this hook
-    if name not in __all__:
+    # a submodule becomes a global when it is imported, and so does every
+    # public name of the module loaded here: attribute lookup finds a
+    # global before it falls back to this hook
+    module = name if name in _NAMES else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals().update(_public_names())
+    loaded = import_module(f"{__name__}.{module}")
+    globals().update({n: getattr(loaded, n) for n in _NAMES[module]})
     return globals()[name]
 
 

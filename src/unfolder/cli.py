@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from pathlib import Path
@@ -87,12 +86,12 @@ def _rebin_arg(text):
 
 def _stop_arg(text):
     if text == "min-total":
-        return ("min_total", None)
+        return ("min_total", ())
     for prefix, rule, parse in (("fixed=", "fixed", int),
                                 ("stat-frac=", "stat_fraction", float)):
         if text.startswith(prefix):
             try:
-                return (rule, parse(text[len(prefix):]))
+                return (rule, (parse(text[len(prefix):]),))
             except ValueError:
                 break
     raise argparse.ArgumentTypeError(
@@ -101,11 +100,9 @@ def _stop_arg(text):
 
 def _policy(stop, max_iterations):
     from .unfold import StoppingPolicy
-    rule, value = stop
+    rule, values = stop
     try:
-        return StoppingPolicy(rule, order=value if rule == "fixed" else None,
-                              threshold=value if rule == "stat_fraction" else None,
-                              max_iterations=max_iterations)
+        return getattr(StoppingPolicy, rule)(*values, max_iterations=max_iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -130,10 +127,14 @@ def _check_kernel_options(args):
 
 def _build_response(args, meas_axis, true_axis):
     if args.kernel is not None:
-        if args.sigma is None or not 0 < args.sigma < math.inf:
+        if args.sigma is None:
             raise ConfigError("--kernel gauss requires a finite --sigma > 0", field="sigma")
+        try:
+            kernel = _gaussian_kernel(args.sigma)
+        except ParameterError as exc:
+            raise ConfigError(str(exc), field="sigma") from exc
         return ResponseMatrix.from_kernel(
-            _gaussian_kernel(args.sigma), true_axis, meas_axis,
+            kernel, true_axis, meas_axis,
             quad_points=DEFAULT_QUAD_POINTS if args.quad_points is None else args.quad_points)
     return ResponseMatrix.from_pairs(read_pairs_csv(args.pairs),
                                      true_axis, meas_axis)

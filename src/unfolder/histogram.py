@@ -48,7 +48,9 @@ def _real(name, value, low=-math.inf, strict=False, high=math.inf):
     """`value` as a finite float in [low, high], or in (low, high) when
     `strict`; refused as by :func:`_whole_number` otherwise."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max
+            # exact for an int; no float32 is cast to the largest double
+            or not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Rational)
+                    else math.isfinite(value))
             or not (low < value < high if strict else low <= value <= high)):
         bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
         if high < math.inf:

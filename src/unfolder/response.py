@@ -430,6 +430,7 @@ def read_pairs_csv(path) -> np.ndarray:
 
 
 def _gaussian_kernel(sigma):
-    """Vectorized Gaussian response density rho(y | x) of width `sigma`."""
+    """Vectorized Gaussian response density rho(y | x) of width `sigma` > 0."""
+    sigma = _real("sigma", sigma, 0.0, strict=True)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     return lambda y, x: norm * np.exp(-0.5 * ((y - x) / sigma) ** 2)

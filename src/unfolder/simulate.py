@@ -184,10 +184,8 @@ class Scenario:
         object.__setattr__(self, "entries", _whole_number("entries", self.entries, 1))
         object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
         extension, refine = self.rebin
-        rebin = (_real("extension_factor", extension, 1.0),
-                 _whole_number("refine_factor", refine, 1))
-        rebin_axes(self.meas_axis, *rebin)  # refuses an extension the axis cannot take
-        object.__setattr__(self, "rebin", rebin)
+        rebin_axes(self.meas_axis, extension, refine)  # the one check of the factors
+        object.__setattr__(self, "rebin", (float(extension), int(refine)))
 
     @property
     def true_axis(self) -> Axis:

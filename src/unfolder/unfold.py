@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionError, NumericalFailureError
+from .errors import (DecompositionError, DimensionError, NumericalFailureError,
+                     ParameterError)
 from .histogram import Histogram, _real, _whole_number
 from .response import ResponseMatrix
 
@@ -68,7 +69,7 @@ def _harmonic_numbers():
 
 def harmonic_number(m: int) -> float:
     """H_m = sum_{k=1..m} 1/k as a compensated sum; H_0 = 0."""
-    m = int(m)
+    m = _whole_number("m", m, 0)
     return next(islice(_harmonic_numbers(), m - 1, None)) if m > 0 else 0.0
 
 
@@ -153,11 +154,13 @@ class ErrorBudget:
     syst_bound: float
     total: float
 
-    CSV_HEADER = "n,bias_bound,stat_integral,stat_fraction,syst_bound,total"
-
     def csv_row(self) -> str:
-        return (f"{self.n},{self.bias_bound!r},{self.stat_integral!r},"
-                f"{self.stat_fraction!r},{self.syst_bound!r},{self.total!r}")
+        """The fields in :attr:`CSV_HEADER` order: `n` by ``str``, each float by ``repr``."""
+        return ",".join((str if f.name == "n" else repr)(getattr(self, f.name))
+                        for f in fields(self))
+
+
+ErrorBudget.CSV_HEADER = ",".join(f.name for f in fields(ErrorBudget))
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,10 @@ class StoppingPolicy:
         if self.rule == "stat_fraction":
             object.__setattr__(self, "threshold", _real(
                 "threshold", self.threshold, 0.0, strict=True, high=1.0))
+        for name, rule in (("order", "fixed"), ("threshold", "stat_fraction")):
+            if self.rule != rule and getattr(self, name) is not None:
+                raise ParameterError(f"the {self.rule} rule takes no {name}, "
+                                     f"got {getattr(self, name)!r}", name)
 
     @classmethod
     def fixed(cls, order, max_iterations=DEFAULT_MAX_ITERATIONS):
@@ -287,8 +294,7 @@ def bias_bound(s: IterateState, bin_volume: float) -> float:
     ``A = [[0.6, 0.4], [0.4, 0.6]]`` and ``f = (1, 0)`` it reads 0.063 at
     n = 10 against a per-bin deviation of 0.319.
     """
-    if bin_volume <= 0:
-        raise ValueError("bin_volume must be positive")
+    bin_volume = _real("bin_volume", bin_volume, 0.0, strict=True)
     return (1.0 / math.sqrt(bin_volume)) / (s.n + 2) \
         * l2_density_norm(s.f_n, s.volumes)
 
@@ -310,8 +316,7 @@ def syst_bound(s: IterateState, R: ResponseMatrix, delta_g, bin_volume: float) -
 
 def _syst(h, norm, bin_volume):
     """:func:`syst_bound` from ``H_{n+1}`` and ``||K⁻¹Aᵀ delta_g||_2``."""
-    if bin_volume <= 0:
-        raise ValueError("bin_volume must be positive")
+    bin_volume = _real("bin_volume", bin_volume, 0.0, strict=True)
     return (1.0 / math.sqrt(bin_volume)) * h * norm
 
 

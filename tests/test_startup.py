@@ -83,6 +83,44 @@ class TestLazyImport:
             from unfolder import no_such_name  # noqa: F401
 
 
+
+class TestPerModuleLoading:
+    """A public name loads only the module that defines it (and what that
+    module imports); a submodule name resolves like a public one."""
+
+    PROBE = ("import json, sys, unfolder\nunfolder.{expr}\n"
+             "print(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'numpy' or m.startswith('unfolder'))))")
+
+    @pytest.mark.parametrize("expr, loaded", [
+        ("Axis", ["numpy", "unfolder", "unfolder.errors", "unfolder.histogram"]),
+        ("ConfigError", ["unfolder", "unfolder.errors"]),
+        ("run", ["numpy", "unfolder", "unfolder.errors", "unfolder.histogram",
+                 "unfolder.response", "unfolder.unfold"]),
+        ("simulate._worker_count", ["numpy", "unfolder", "unfolder.errors",
+                                    "unfolder.histogram", "unfolder.response",
+                                    "unfolder.simulate"]),
+        ("unfold.StoppingPolicy", ["numpy", "unfolder", "unfolder.errors",
+                                   "unfolder.histogram", "unfolder.response",
+                                   "unfolder.unfold"]),
+    ])
+    def test_first_use_loads(self, expr, loaded):
+        assert run_python(self.PROBE.format(expr=expr)) == loaded
+
+    def test_table_entries_are_their_modules_own_objects(self):
+        out = run_python(
+            "import importlib, json, unfolder\n"
+            "wrong = [(m, n) for m, names in unfolder._NAMES.items() for n in names\n"
+            "         if getattr(unfolder, n) is not getattr(\n"
+            "             importlib.import_module('unfolder.' + m), n)\n"
+            "         or getattr(unfolder, n).__module__ != 'unfolder.' + m]\n"
+            "print(json.dumps([wrong, unfolder.__all__]))")
+        wrong, names = out
+        assert wrong == []
+        assert len(names) == len(set(names))
+        assert names[-1] == "__version__"
+
+
 class TestBlasIdleTimeout:
     PROBE = ("import json, os, sys\n{pre}import unfolder.cli\n"
              "print(json.dumps(os.environ.get('" + TIMEOUT + "')))")

@@ -646,3 +646,18 @@ class TestOneDefinitionPerTerm:
         assert len(out.trace) == len(terms)
         for row in out.trace:
             assert row.syst_bound == math.fsum(terms[:row.n + 1]), row.n
+
+
+class TestTraceColumns:
+    """The trace CSV's header and rows are the ErrorBudget fields in order:
+    the order as ``str`` writes it, every float as its ``repr``."""
+
+    def test_header_is_the_field_names(self):
+        assert uf.ErrorBudget.CSV_HEADER == \
+            "n,bias_bound,stat_integral,stat_fraction,syst_bound,total"
+
+    @pytest.mark.parametrize("n", [3, np.int64(3)], ids=["int", "numpy-int"])
+    def test_row_bytes(self, n):
+        b = uf.ErrorBudget(n=n, bias_bound=0.1, stat_integral=1 / 3,
+                           stat_fraction=math.inf, syst_bound=0.0, total=2e-300)
+        assert b.csv_row() == "3,0.1,0.3333333333333333,inf,0.0,2e-300"

@@ -401,3 +401,89 @@ class TestOneNumberRule:
         with pytest.raises(ValueError, match="threshold") as exc:
             uf.StoppingPolicy.stat_fraction(1.0)
         assert exc.value.name == "threshold"
+
+
+def _state():
+    g = uf.Histogram(AXIS, [4.0, 9.0, 1.0], stat_err=[2.0, 3.0, 1.0])
+    return uf.init(uf.ResponseMatrix(AXIS, AXIS, np.eye(3)), g)
+
+
+def _syst_bound(v):
+    return uf.syst_bound(_state(), uf.ResponseMatrix(AXIS, AXIS, np.eye(3)),
+                         [1.0, 0.0, 0.0], v)
+
+
+STRICTLY_POSITIVE = {"zero": 0.0, "negative zero": -0.0, "negative": -1.0,
+                     "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                     "bool": True, "string": "1"}
+
+
+class TestRemainingEntries:
+    """The bin volume of the error terms, the harmonic number's index and
+    the Gaussian kernel's width are refused by the one number rule."""
+
+    @pytest.mark.parametrize("value", STRICTLY_POSITIVE.values(), ids=STRICTLY_POSITIVE)
+    @pytest.mark.parametrize("build", [lambda v: uf.bias_bound(_state(), v), _syst_bound],
+                             ids=["bias_bound", "syst_bound"])
+    def test_bin_volume(self, build, value):
+        with pytest.raises(uf.ParameterError, match="bin_volume") as exc:
+            build(value)
+        assert exc.value.name == "bin_volume"
+
+    @pytest.mark.parametrize("value", STRICTLY_POSITIVE.values(), ids=STRICTLY_POSITIVE)
+    def test_kernel_sigma(self, value):
+        from unfolder.response import _gaussian_kernel
+        with pytest.raises(uf.ParameterError, match="sigma") as exc:
+            _gaussian_kernel(value)
+        assert exc.value.name == "sigma"
+
+    def test_zero_width_smearing_samples_but_has_no_kernel(self):
+        smearing = uf.GaussianSmearing(0.0)
+        x = np.array([1.0, -2.0])
+        assert np.array_equal(smearing.apply(np.random.default_rng(1), x), x)
+        with pytest.raises(uf.ParameterError, match="sigma"):
+            smearing.kernel()
+
+    @pytest.mark.parametrize("value", [2.7, -3, np.nan, np.inf, True, "2"])
+    def test_harmonic_number_index(self, value):
+        with pytest.raises(uf.ParameterError, match="m must") as exc:
+            uf.harmonic_number(value)
+        assert exc.value.name == "m"
+
+    def test_harmonic_number_reads_integral_float(self):
+        assert uf.harmonic_number(2.0) == uf.harmonic_number(2) == 1.5
+
+    def test_scenario_stores_rebin_as_float_and_int(self):
+        sc = uf.Scenario(uf.CauchyTruth(), uf.GaussianSmearing(1.0), 10, 1, AXIS,
+                         rebin=(np.float32(2.0), 2.0))
+        assert sc.rebin == (2.0, 2)
+        assert [type(f) for f in sc.rebin] == [float, int]
+
+    @pytest.mark.parametrize("build", [
+        lambda v: uf.GaussianSmearing(v), lambda v: uf.Axis.uniform(-v, v, 4),
+        lambda v: uf.StoppingPolicy.stat_fraction(v / 4)], ids=["model", "axis", "policy"])
+    def test_float32_is_read_without_a_cast_warning(self, build):
+        assert build(np.float32(0.5)) == build(0.5)
+
+
+class TestForeignPolicyParameter:
+    """A stopping rule refuses a parameter that only another rule reads."""
+
+    @pytest.mark.parametrize("rule, name, value", [
+        ("fixed", "threshold", 7.0),
+        ("fixed", "threshold", 0.5),
+        ("stat_fraction", "order", 3),
+        ("min_total", "order", 5),
+        ("min_total", "threshold", 0.1),
+    ])
+    def test_refused_by_name(self, rule, name, value):
+        used = {"fixed": {"order": 2}, "stat_fraction": {"threshold": 0.1}}.get(rule, {})
+        with pytest.raises(uf.ParameterError, match=name) as exc:
+            uf.StoppingPolicy(rule, **used, **{name: value})
+        assert exc.value.name == name
+
+    def test_constructors_pass_none(self):
+        assert uf.StoppingPolicy.fixed(2).threshold is None
+        assert uf.StoppingPolicy.stat_fraction(0.1).order is None
+        policy = uf.StoppingPolicy.min_total()
+        assert (policy.order, policy.threshold) == (None, None)
