@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,7 @@ def _frozen(values):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Axis:
     """Strictly increasing bin boundaries of a 1-D histogram.
 
@@ -75,10 +77,10 @@ class Axis:
         finite differences.
     """
 
-    __slots__ = ("_edges",)
+    edges: np.ndarray
 
-    def __init__(self, edges):
-        e = np.asarray(edges, dtype=np.float64)
+    def __post_init__(self):
+        e = np.asarray(self.edges, dtype=np.float64)
         if e.ndim != 1 or e.size < 2:
             raise ValueError(f"need at least two edges, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
@@ -90,7 +92,7 @@ class Axis:
         if not np.all(np.isfinite(widths)):
             raise ValueError("bin widths must be finite: an edge span "
                              "overflows float64")
-        self._edges = _frozen(e)
+        object.__setattr__(self, "edges", _frozen(e))
 
     @classmethod
     def uniform(cls, low, high, nbins):
@@ -102,29 +104,25 @@ class Axis:
         return cls(np.linspace(low, high, nbins + 1))
 
     @property
-    def edges(self) -> np.ndarray:
-        return self._edges
-
-    @property
     def nbins(self) -> int:
-        return self._edges.size - 1
+        return self.edges.size - 1
 
     @property
     def low(self) -> float:
-        return float(self._edges[0])
+        return float(self.edges[0])
 
     @property
     def high(self) -> float:
-        return float(self._edges[-1])
+        return float(self.edges[-1])
 
     @property
     def widths(self) -> np.ndarray:
         """Per-bin volumes (widths, in 1-D)."""
-        return np.diff(self._edges)
+        return np.diff(self.edges)
 
     @property
     def centers(self) -> np.ndarray:
-        a, b = self._edges[:-1], self._edges[1:]
+        a, b = self.edges[:-1], self.edges[1:]
         with np.errstate(over="ignore"):  # a + b can overflow where b - a does not
             mid = 0.5 * (a + b)
         return np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
@@ -136,7 +134,7 @@ class Axis:
     def __eq__(self, other):
         if not isinstance(other, Axis):
             return NotImplemented
-        return np.array_equal(self._edges, other._edges)
+        return np.array_equal(self.edges, other.edges)
 
     def __len__(self):
         return self.nbins
@@ -145,7 +143,7 @@ class Axis:
         return f"Axis({self.nbins} bins on [{self.low:g}, {self.high:g}])"
 
     def to_dict(self) -> dict:
-        return {"edges": self._edges.tolist()}
+        return {"edges": self.edges.tolist()}
 
     @classmethod
     def from_dict(cls, d) -> "Axis":
@@ -156,6 +154,7 @@ class Axis:
         return cls.uniform(d["low"], d["high"], d["nbins"])
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Histogram:
     """Binned 1-D distribution with optional error vectors.
 
@@ -175,33 +174,38 @@ class Histogram:
     unfolded : bool
         Marks estimates produced by an unfolding step.  Only unfolded
         histograms may carry negative content; measured input must not.
+        A Python or numpy bool; any other value is refused.
     """
 
-    __slots__ = ("_axis", "_contents", "_stat_err", "_syst_err", "_kind", "_unfolded")
+    axis: Axis
+    contents: np.ndarray
+    stat_err: np.ndarray | None = None
+    syst_err: np.ndarray | None = None
+    kind: str = "mass"
+    unfolded: bool = False
 
-    def __init__(self, axis, contents, stat_err=None, syst_err=None,
-                 kind="mass", unfolded=False):
-        if not isinstance(axis, Axis):
-            axis = Axis(axis)
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        c = np.asarray(contents, dtype=np.float64)
+    def __post_init__(self):
+        axis = self.axis if isinstance(self.axis, Axis) else Axis(self.axis)
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not isinstance(self.unfolded, (bool, np.bool_)):
+            raise ValueError(f"unfolded must be true or false, got {self.unfolded!r}")
+        c = np.asarray(self.contents, dtype=np.float64)
         if c.shape != (axis.nbins,):
             raise DimensionError(
                 f"contents length {c.size} does not match {axis.nbins} bins")
         if not np.all(np.isfinite(c)):
             raise ValueError("contents must be finite")
-        if not unfolded and np.any(c < 0):
+        if not self.unfolded and np.any(c < 0):
             raise ValueError("negative content is only allowed on unfolded estimates")
-        self._axis = axis
-        self._contents = _frozen(c)
-        self._stat_err = self._checked_errors(stat_err, axis, "stat_err")
-        self._syst_err = self._checked_errors(syst_err, axis, "syst_err")
-        self._kind = kind
-        self._unfolded = bool(unfolded)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "contents", _frozen(c))
+        for name in ("stat_err", "syst_err"):
+            object.__setattr__(self, name, self._checked_errors(name, axis))
+        object.__setattr__(self, "unfolded", bool(self.unfolded))
 
-    @staticmethod
-    def _checked_errors(err, axis, name):
+    def _checked_errors(self, name, axis):
+        err = getattr(self, name)
         if err is None:
             return None
         e = np.asarray(err, dtype=np.float64)
@@ -228,56 +232,32 @@ class Histogram:
         return cls(axis, c, stat_err=stat, kind="counts")
 
     @property
-    def axis(self) -> Axis:
-        return self._axis
-
-    @property
-    def contents(self) -> np.ndarray:
-        return self._contents
-
-    @property
-    def stat_err(self):
-        return self._stat_err
-
-    @property
-    def syst_err(self):
-        return self._syst_err
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def unfolded(self) -> bool:
-        return self._unfolded
-
-    @property
     def nbins(self) -> int:
-        return self._axis.nbins
+        return self.axis.nbins
 
     @property
     def total(self) -> float:
         """Sum of all bin contents."""
-        return float(self._contents.sum())
+        return float(self.contents.sum())
 
     def __repr__(self):
-        return (f"Histogram({self.nbins} bins, kind={self._kind!r}, "
+        return (f"Histogram({self.nbins} bins, kind={self.kind!r}, "
                 f"total={self.total:.6g}"
-                + (", unfolded" if self._unfolded else "") + ")")
+                + (", unfolded" if self.unfolded else "") + ")")
 
     # --- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
         d = {
-            "axis": self._axis.to_dict(),
-            "contents": self._contents.tolist(),
+            "axis": self.axis.to_dict(),
+            "contents": self.contents.tolist(),
         }
-        if self._stat_err is not None:
-            d["stat_err"] = self._stat_err.tolist()
-        if self._syst_err is not None:
-            d["syst_err"] = self._syst_err.tolist()
-        d["kind"] = self._kind
-        d["unfolded"] = self._unfolded
+        if self.stat_err is not None:
+            d["stat_err"] = self.stat_err.tolist()
+        if self.syst_err is not None:
+            d["syst_err"] = self.syst_err.tolist()
+        d["kind"] = self.kind
+        d["unfolded"] = self.unfolded
         return d
 
     @classmethod
@@ -303,14 +283,14 @@ class Histogram:
 
         Missing error vectors are written as 0.
         """
-        e = self._axis.edges
-        stat = self._stat_err if self._stat_err is not None else np.zeros(self.nbins)
-        syst = self._syst_err if self._syst_err is not None else np.zeros(self.nbins)
+        e = self.axis.edges
+        stat = self.stat_err if self.stat_err is not None else np.zeros(self.nbins)
+        syst = self.syst_err if self.syst_err is not None else np.zeros(self.nbins)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("low_edge,high_edge,content,stat_err,syst_err\n")
             for i in range(self.nbins):
                 fh.write(f"{float(e[i])!r},{float(e[i + 1])!r},"
-                         f"{float(self._contents[i])!r},"
+                         f"{float(self.contents[i])!r},"
                          f"{float(stat[i])!r},{float(syst[i])!r}\n")
 
 

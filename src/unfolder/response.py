@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import InitVar, dataclass, field
 from itertools import compress, islice, repeat
 
 import numpy as np
@@ -74,6 +75,7 @@ def compute_k(matrix) -> float:
     return k
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ResponseMatrix:
     """Folding operator between a true and a measured axis.
 
@@ -90,17 +92,20 @@ class ResponseMatrix:
         known factor.
     """
 
-    __slots__ = ("_true_axis", "_meas_axis", "_matrix", "_k", "_zero_columns")
+    true_axis: Axis
+    meas_axis: Axis
+    matrix: np.ndarray
+    k_override: InitVar[float | None] = None
+    k_factor: float = field(init=False)
+    # indices of true bins with an all-zero response column
+    zero_columns: tuple = field(init=False)
 
-    def __init__(self, true_axis, meas_axis, matrix, k_override=None):
-        self._build(true_axis, meas_axis, matrix, k_override, stored=False)
-
-    def _build(self, true_axis, meas_axis, matrix, k_override, stored):
-        m = np.array(matrix, dtype=np.float64, copy=True)
-        if m.shape != (meas_axis.nbins, true_axis.nbins):
+    def __post_init__(self, k_override):
+        m = np.array(self.matrix, dtype=np.float64, copy=True)
+        if m.shape != (self.meas_axis.nbins, self.true_axis.nbins):
             raise DimensionError(
-                f"matrix shape {m.shape} does not match "
-                f"({meas_axis.nbins} measured x {true_axis.nbins} true) bins")
+                f"matrix shape {m.shape} does not match ({self.meas_axis.nbins} "
+                f"measured x {self.true_axis.nbins} true) bins")
         k = compute_k(m)  # refuses non-finite and negative entries
         col_sums = m.sum(axis=0)
         if np.any(col_sums > 1.0 + COLUMN_SUM_TOL):
@@ -110,9 +115,7 @@ class ResponseMatrix:
                 "must be migration probabilities")
         if k_override is not None:
             k_override = _real("k_override", k_override)
-            if stored and k_override <= k * (1.0 + 1e-12):
-                k_override = k
-            elif k_override < k * (1.0 - 1e-12):
+            if k_override < k * (1.0 - 1e-12):
                 raise ValueError(
                     f"k_override {k_override} is below the computed factor {k}; "
                     "the iteration would not contract")
@@ -123,11 +126,9 @@ class ResponseMatrix:
                 f"{zero.size} true bin(s) receive no response; the unfolded "
                 "content there is unconstrained", RuntimeWarning)
         m.flags.writeable = False
-        self._true_axis = true_axis
-        self._meas_axis = meas_axis
-        self._matrix = m
-        self._k = k
-        self._zero_columns = tuple(int(j) for j in zero)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "k_factor", k)
+        object.__setattr__(self, "zero_columns", tuple(int(j) for j in zero))
 
     # --- constructors ------------------------------------------------------
 
@@ -224,36 +225,13 @@ class ResponseMatrix:
             matrix[:, over] /= col[over]
         return cls(true_axis, meas_axis, matrix, k_override=k_override)
 
-    # --- properties ---------------------------------------------------------
-
-    @property
-    def true_axis(self) -> Axis:
-        return self._true_axis
-
-    @property
-    def meas_axis(self) -> Axis:
-        return self._meas_axis
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def k_factor(self) -> float:
-        return self._k
-
-    @property
-    def zero_columns(self) -> tuple:
-        """Indices of true bins with an all-zero response column."""
-        return self._zero_columns
-
     @property
     def shape(self):
-        return self._matrix.shape
+        return self.matrix.shape
 
     def __repr__(self):
-        return (f"ResponseMatrix({self._meas_axis.nbins} x "
-                f"{self._true_axis.nbins}, K={self._k:.6g})")
+        return (f"ResponseMatrix({self.meas_axis.nbins} x "
+                f"{self.true_axis.nbins}, K={self.k_factor:.6g})")
 
     # --- application ----------------------------------------------------------
 
@@ -263,40 +241,43 @@ class ResponseMatrix:
         Statistical errors are propagated linearly from the per-bin errors
         (diagonal covariance) when present, otherwise omitted.
         """
-        if f.axis != self._true_axis:
+        if f.axis != self.true_axis:
             raise DimensionError("histogram is not on the true axis")
-        contents = self._matrix @ f.contents
+        contents = self.matrix @ f.contents
         stat = None
         if f.stat_err is not None:
-            stat = np.sqrt((self._matrix ** 2) @ (f.stat_err ** 2))
-        return Histogram(self._meas_axis, contents, stat_err=stat,
+            stat = np.sqrt((self.matrix ** 2) @ (f.stat_err ** 2))
+        return Histogram(self.meas_axis, contents, stat_err=stat,
                          kind=f.kind, unfolded=f.unfolded)
 
     def transpose_apply(self, g) -> np.ndarray:
         """Apply the transposed operator (response with swapped variables)."""
         v = np.asarray(g, dtype=np.float64)
-        if v.shape[0] != self._meas_axis.nbins:
+        if v.shape[0] != self.meas_axis.nbins:
             raise DimensionError(
                 f"vector length {v.shape[0]} does not match "
-                f"{self._meas_axis.nbins} measured bins")
-        return self._matrix.T @ v
+                f"{self.meas_axis.nbins} measured bins")
+        return self.matrix.T @ v
 
     # --- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "true_axis": self._true_axis.to_dict(),
-            "meas_axis": self._meas_axis.to_dict(),
-            "matrix": self._matrix.tolist(),
-            "k_factor": self._k,
+            "true_axis": self.true_axis.to_dict(),
+            "meas_axis": self.meas_axis.to_dict(),
+            "matrix": self.matrix.tolist(),
+            "k_factor": self.k_factor,
         }
 
     @classmethod
     def from_dict(cls, d) -> "ResponseMatrix":
         # a stored factor below K, or above it by rounding only, is dropped
-        rm = cls.__new__(cls)
-        rm._build(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]),
-                  d["matrix"], d.get("k_factor"), stored=True)
+        rm = cls(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]), d["matrix"])
+        stored = d.get("k_factor")
+        if stored is not None:
+            stored = _real("k_override", stored)
+            if stored > rm.k_factor * (1.0 + 1e-12):
+                object.__setattr__(rm, "k_factor", stored)
         return rm
 
     def save_json(self, path):

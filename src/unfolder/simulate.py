@@ -10,6 +10,7 @@ times to validate the propagated covariance empirically.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -32,13 +33,18 @@ class _Model:
     """Base of the truth and smearing models.  Every parameter must be a
     finite number (a NaN or an infinity would make every drawn value NaN
     without an error); `_LOW` maps a bounded one to its ``(low, strict)``
-    bound, see :func:`~unfolder.histogram._real`."""
+    bound, see :func:`~unfolder.histogram._real`.  An integral parameter is
+    stored as an int and any other as a float, so a numpy scalar is written
+    to JSON as the number it holds."""
 
     _LOW = {}
 
     def __post_init__(self):
         for f in fields(self):
-            _real(f.name, getattr(self, f.name), *self._LOW.get(f.name, ()))
+            value = getattr(self, f.name)
+            x = _real(f.name, value, *self._LOW.get(f.name, ()))
+            object.__setattr__(self, f.name,
+                               int(value) if isinstance(value, numbers.Integral) else x)
 
 
 @dataclass(frozen=True)

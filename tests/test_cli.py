@@ -373,6 +373,17 @@ class TestBadInputFiles:
         assert self.unfold(path, response_file, tmp_path) == 3
         assert not (tmp_path / "o.json").exists()
 
+    def test_string_unfolded_flag_exits_3(self, sim_dir, response_file, tmp_path,
+                                          capsys):
+        d = json.loads((sim_dir / "measured.json").read_text())
+        d["unfolded"] = "false"
+        d["contents"][0] = -1.0
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(d))
+        assert self.unfold(path, response_file, tmp_path) == 3
+        assert "unfolded must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("k", [float("inf"), float("nan")])
     def test_non_finite_k_factor_exits_3(self, sim_dir, response_file, tmp_path,
                                          capsys, k):

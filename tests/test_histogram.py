@@ -85,6 +85,20 @@ class TestHistogramValidation:
         with pytest.raises(ValueError):
             uf.Histogram(uf.Axis.uniform(0, 1, 1), [1.0], kind="weights")
 
+    @pytest.mark.parametrize("flag", ["false", "true", "", 0, 1, 0.0, None, [False]])
+    def test_unfolded_flag_must_be_a_bool(self, flag):
+        # a non-empty string used to read as True and let negative content in
+        d = {"axis": {"edges": [0, 1, 2]}, "contents": [-1.0, 2.0], "unfolded": flag}
+        with pytest.raises(ValueError, match="unfolded must be true or false"):
+            uf.Histogram.from_dict(d)
+        with pytest.raises(ValueError, match="unfolded must be true or false"):
+            uf.Histogram(uf.Axis([0, 1, 2]), [1.0, 2.0], unfolded=flag)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_unfolded_flag_is_stored_as_a_python_bool(self, flag):
+        h = uf.Histogram(uf.Axis([0, 1, 2]), [1.0, 2.0], unfolded=flag)
+        assert type(h.unfolded) is bool and h.unfolded == flag
+
 
 class TestNormalize:
     def test_simple(self):

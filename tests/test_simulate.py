@@ -203,6 +203,21 @@ class TestScenarioConfig:
         np.testing.assert_array_equal(uf.generate(back).measured.contents,
                                       uf.generate(demo_scenario).measured.contents)
 
+    def test_numpy_model_parameters_save_as_plain_numbers(self, tmp_path):
+        # a model stores the checked value: numpy scalars used to reach
+        # json.dumps and raise TypeError; Python numbers keep their bytes
+        sc = flat_scenario(truth=uf.GaussianTruth(np.int64(0), np.float32(2.0)),
+                           smearing=uf.GaussianSmearing(np.float64(0.5)))
+        assert (type(sc.truth.mean), type(sc.truth.sigma)) == (int, float)
+        path = tmp_path / "sc.json"
+        sc.save_json(path)
+        plain = flat_scenario(truth=uf.GaussianTruth(0, 2.0),
+                              smearing=uf.GaussianSmearing(0.5))
+        plain.save_json(tmp_path / "plain.json")
+        assert path.read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert b'"mean": 0,' in path.read_bytes()
+        assert uf.Scenario.load_json(path) == sc
+
     def test_missing_field_is_named(self):
         good = flat_scenario().to_dict()
         for field in ("truth", "smearing", "entries", "seed", "meas_axis"):
