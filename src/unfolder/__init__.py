@@ -27,15 +27,15 @@ __version__ = "0.1.0"
 
 # the one list of public names, by the module that defines them
 _NAMES = {
-    "errors": ("UnfoldingError", "DimensionError", "NormalizationError", "InvalidKernelError",
-               "ConstructionError", "DegenerateOperatorError", "DecompositionError",
-               "NumericalFailureError", "ParameterError", "ConfigError"),
-    "histogram": ("Axis", "Histogram", "l1_distance", "normalize", "rebin_axes"),
+    "errors": ("UnfoldingError", "DimensionError", "InvalidKernelError", "ConstructionError",
+               "DegenerateOperatorError", "DecompositionError", "NumericalFailureError",
+               "ParameterError", "ConfigError"),
+    "histogram": ("Axis", "Histogram", "l1_distance", "rebin_axes"),
     "response": ("ResponseMatrix", "compute_k", "read_pairs_csv", "write_pairs_csv"),
     "unfold": ("IterateState", "ErrorBudget", "StoppingPolicy", "UnfoldResult", "init",
                "step", "run", "bias_bound", "syst_bound", "stat_summary", "covariance_sqrt",
                "harmonic_number", "l2_density_norm"),
-    "baseline": ("naive_invert", "kernel_projection", "kernel_projector", "condition_number"),
+    "baseline": ("naive_invert", "kernel_projector", "condition_number"),
     "simulate": ("Scenario", "CauchyTruth", "GaussianTruth", "PowerlawTruth",
                  "GaussianSmearing", "CalorimeterSmearing", "GenerateResult", "EnsembleStats",
                  "generate", "pseudo_experiments"),

@@ -70,18 +70,6 @@ def kernel_projector(R: ResponseMatrix) -> np.ndarray:
     return np.eye(nx) - row_space.T @ row_space
 
 
-def kernel_projection(R: ResponseMatrix, f) -> np.ndarray:
-    """Project a true-axis vector onto the null space of the response.
-
-    Zero for an invertible response; otherwise the unrecoverable component
-    of `f`, so the iteration's noiseless limit is ``f - kernel_projection(R, f)``.
-    """
-    v = np.asarray(f, dtype=np.float64)
-    if v.shape[0] != R.true_axis.nbins:
-        raise DimensionError("vector length does not match the true axis")
-    return kernel_projector(R) @ v
-
-
 def condition_number(R: ResponseMatrix) -> float:
     """sigma_max / sigma_min of the response; inf when rank deficient."""
     singular = np.linalg.svd(R.matrix, compute_uv=False)

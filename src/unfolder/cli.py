@@ -101,8 +101,9 @@ def _stop_arg(text):
 def _policy(stop, max_iterations):
     from .unfold import StoppingPolicy
     rule, values = stop
+    cap = {} if max_iterations is None else {"max_iterations": max_iterations}
     try:
-        return getattr(StoppingPolicy, rule)(*values, max_iterations=max_iterations)
+        return getattr(StoppingPolicy, rule)(*values, **cap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -282,7 +283,7 @@ def _parser():
                      metavar="fixed=N|stat-frac=T|min-total")
     unf.add_argument("--syst", help="systematic offset histogram JSON")
     unf.add_argument("--truth", help="truth histogram for the plot")
-    unf.add_argument("--max-iterations", type=int, default=10000)
+    unf.add_argument("--max-iterations", type=int, help="cap on the stopping order")
     unf.add_argument("--out", required=True)
     unf.add_argument("--trace", help="iteration trace CSV")
     unf.add_argument("--svg", help="overlay plot")
@@ -317,8 +318,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UnfoldingError, FileNotFoundError, ValueError, KeyError) as exc:
-        # UnfoldingError covers DimensionError and NormalizationError, and
-        # a JSONDecodeError is a ValueError
+        # UnfoldingError covers DimensionError, and a JSONDecodeError is a
+        # ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

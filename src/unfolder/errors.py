@@ -9,10 +9,6 @@ class DimensionError(UnfoldingError):
     """Axes, vectors or matrices do not line up."""
 
 
-class NormalizationError(UnfoldingError):
-    """Histogram cannot be scaled to unit mass."""
-
-
 class InvalidKernelError(UnfoldingError):
     """Response kernel produced a negative value."""
 
@@ -41,7 +37,7 @@ class NumericalFailureError(UnfoldingError):
 
 
 class ParameterError(UnfoldingError, ValueError):
-    """A scalar count, order or factor is refused; ``name`` names it."""
+    """A count, order, factor or JSON object is refused; ``name`` names it."""
 
     def __init__(self, message, name):
         super().__init__(message)

@@ -12,12 +12,12 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, ParameterError
+from .errors import DimensionError, ParameterError
 
 KINDS = ("counts", "mass", "density")
 
@@ -60,14 +60,41 @@ def _real(name, value, low=-math.inf, strict=False, high=math.inf):
     return float(value)
 
 
+def _json_object(name, value):
+    """`value` if it is a dict; refused with a ParameterError naming `name` otherwise."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{name} must be a JSON object, got {type(value).__name__}", name)
+    return value
+
+
 def _frozen(values):
     out = np.array(values, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
 
 
+class _ReadOnlyCopies:
+    """Base of the value types that hold arrays: a ``pickle`` or ``deepcopy`` copy
+    keeps every field, arrays read-only, without rerunning the constructor, whose
+    checks passed on the original and whose warnings would repeat."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _restore, (type(self), [getattr(self, f.name) for f in fields(self)])
+
+
+def _restore(cls, values):
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Axis:
+class Axis(_ReadOnlyCopies):
     """Strictly increasing bin boundaries of a 1-D histogram.
 
     Parameters
@@ -136,9 +163,6 @@ class Axis:
             return NotImplemented
         return np.array_equal(self.edges, other.edges)
 
-    def __len__(self):
-        return self.nbins
-
     def __repr__(self):
         return f"Axis({self.nbins} bins on [{self.low:g}, {self.high:g}])"
 
@@ -149,13 +173,14 @@ class Axis:
     def from_dict(cls, d) -> "Axis":
         """Accepts ``{"edges": [...]}`` or the uniform shorthand
         ``{"low": .., "high": .., "nbins": ..}``."""
+        d = _json_object("axis", d)
         if "edges" in d:
             return cls(d["edges"])
         return cls.uniform(d["low"], d["high"], d["nbins"])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Histogram:
+class Histogram(_ReadOnlyCopies):
     """Binned 1-D distribution with optional error vectors.
 
     Parameters
@@ -262,14 +287,10 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, d) -> "Histogram":
-        return cls(
-            Axis.from_dict(d["axis"]),
-            d["contents"],
-            stat_err=d.get("stat_err"),
-            syst_err=d.get("syst_err"),
-            kind=d.get("kind", "mass"),
-            unfolded=d.get("unfolded", False),
-        )
+        d = _json_object("histogram", d)
+        return cls(Axis.from_dict(d["axis"]), d["contents"], stat_err=d.get("stat_err"),
+                   syst_err=d.get("syst_err"), kind=d.get("kind", "mass"),
+                   unfolded=d.get("unfolded", False))
 
     def save_json(self, path):
         _save_json(path, self.to_dict(), indent=1)
@@ -277,41 +298,6 @@ class Histogram:
     @classmethod
     def load_json(cls, path) -> "Histogram":
         return cls.from_dict(_load_json(path))
-
-    def to_csv(self, path):
-        """One row per bin: low_edge, high_edge, content, stat_err, syst_err.
-
-        Missing error vectors are written as 0.
-        """
-        e = self.axis.edges
-        stat = self.stat_err if self.stat_err is not None else np.zeros(self.nbins)
-        syst = self.syst_err if self.syst_err is not None else np.zeros(self.nbins)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("low_edge,high_edge,content,stat_err,syst_err\n")
-            for i in range(self.nbins):
-                fh.write(f"{float(e[i])!r},{float(e[i + 1])!r},"
-                         f"{float(self.contents[i])!r},"
-                         f"{float(stat[i])!r},{float(syst[i])!r}\n")
-
-
-def normalize(h: Histogram) -> Histogram:
-    """Scale a histogram to unit total mass.
-
-    Errors scale by the same factor; the result has ``kind="mass"``.
-    Idempotent.  Raises :class:`NormalizationError` on non-positive total.
-    """
-    total = h.total
-    if total <= 0:
-        raise NormalizationError(f"cannot normalize histogram with total {total}")
-    scale = 1.0 / total
-    return Histogram(
-        h.axis,
-        h.contents * scale,
-        stat_err=None if h.stat_err is None else h.stat_err * scale,
-        syst_err=None if h.syst_err is None else h.syst_err * scale,
-        kind="mass",
-        unfolded=h.unfolded,
-    )
 
 
 def l1_distance(a: Histogram, b: Histogram) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (ConstructionError, DegenerateOperatorError,
                      DimensionError, InvalidKernelError)
-from .histogram import Axis, Histogram, _load_json, _real, _save_json, _whole_number
+from .histogram import (Axis, Histogram, _json_object, _load_json, _ReadOnlyCopies, _real,
+                        _save_json, _whole_number)
 
 COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
@@ -76,7 +77,7 @@ def compute_k(matrix) -> float:
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
-class ResponseMatrix:
+class ResponseMatrix(_ReadOnlyCopies):
     """Folding operator between a true and a measured axis.
 
     Parameters
@@ -134,8 +135,7 @@ class ResponseMatrix:
 
     @classmethod
     def from_kernel(cls, kernel, true_axis, meas_axis,
-                    quad_points=DEFAULT_QUAD_POINTS, kernel_cdf=None,
-                    k_override=None):
+                    quad_points=DEFAULT_QUAD_POINTS, k_override=None):
         """Discretize an analytic response density ``kernel(y, x)``.
 
         Each true bin is subdivided into `quad_points` midpoint nodes; for
@@ -145,11 +145,9 @@ class ResponseMatrix:
         probability for an event uniform within its true bin.
 
         `kernel` must be vectorized (accept numpy arrays of y and x and
-        broadcast).  When `kernel_cdf` is given it must be the cumulative
-        kernel ``C(y, x) = integral of kernel(t, x) for t <= y`` and the
-        y-integral is taken exactly as ``C(hi, x) - C(lo, x)``; use this for
-        kernels much narrower than the measured bins, where fixed-node
-        quadrature cannot resolve the peak.
+        broadcast).  Fixed-node quadrature cannot resolve a kernel much
+        narrower than the measured bins: raise `quad_points`, or pass a
+        matrix integrated by other means to the constructor.
         """
         quad_points = _whole_number("quad_points", quad_points, 1)
         nx, ny = true_axis.nbins, meas_axis.nbins
@@ -159,30 +157,16 @@ class ResponseMatrix:
         y_nodes = meas_axis.edges[:-1, None] + meas_axis.widths[:, None] * offsets[None, :]
         y_weight = meas_axis.widths / quad_points
         # about _PAIR_BLOCK kernel evaluations per chunk of true bins
-        per_bin = (ny + 1) * quad_points if kernel_cdf is not None else ny * quad_points ** 2
-        chunk = max(1, _PAIR_BLOCK // per_bin)
+        chunk = max(1, _PAIR_BLOCK // (ny * quad_points ** 2))
         matrix = np.empty((ny, nx))
         for j0 in range(0, nx, chunk):
-            x = x_nodes[j0:j0 + chunk]
-            if kernel_cdf is not None:
-                # exact y-integral between measured edges, averaged over x nodes
-                cdf_at_edges = np.asarray(
-                    kernel_cdf(meas_axis.edges[:, None, None], x[None, :, :]),
-                    dtype=np.float64)
-                if cdf_at_edges.shape != (ny + 1, *x.shape):
-                    raise ValueError("kernel_cdf must broadcast over its arguments")
-                mass = np.diff(cdf_at_edges, axis=0)
-                if np.any(mass < -1e-12):
-                    raise InvalidKernelError("kernel_cdf is not monotone in y")
-                block = np.clip(mass, 0.0, None).mean(axis=2)
-            else:
-                # broadcast (ny, jchunk, Qy, Qx)
-                vals = np.asarray(kernel(y_nodes[:, None, :, None], x[None, :, None, :]),
-                                  dtype=np.float64)
-                if np.any(vals < 0):
-                    raise InvalidKernelError("kernel returned a negative density")
-                block = (vals.sum(axis=(2, 3)) * y_weight[:, None]) / quad_points
-            matrix[:, j0:j0 + chunk] = block
+            # broadcast (ny, jchunk, Qy, Qx)
+            vals = np.asarray(kernel(y_nodes[:, None, :, None],
+                                     x_nodes[None, j0:j0 + chunk, None, :]),
+                              dtype=np.float64)
+            if np.any(vals < 0):
+                raise InvalidKernelError("kernel returned a negative density")
+            matrix[:, j0:j0 + chunk] = (vals.sum(axis=(2, 3)) * y_weight[:, None]) / quad_points
         # quadrature noise can push a column a hair over 1
         col = matrix.sum(axis=0)
         over = col > 1.0
@@ -272,6 +256,7 @@ class ResponseMatrix:
     @classmethod
     def from_dict(cls, d) -> "ResponseMatrix":
         # a stored factor below K, or above it by rounding only, is dropped
+        d = _json_object("response", d)
         rm = cls(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]), d["matrix"])
         stored = d.get("k_factor")
         if stored is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .histogram import (Axis, Histogram, _load_json, _real, _save_json,
+from .histogram import (Axis, Histogram, _json_object, _load_json, _real, _save_json,
                         _whole_number, rebin_axes)
 from .response import _PAIR_BLOCK, ResponseMatrix, _closed_edges, _gaussian_kernel
 
@@ -244,8 +244,8 @@ class Scenario:
             meas_axis = Axis.from_dict(need(d, "meas_axis"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
-        rebin = d.get("rebin", {})
         try:
+            rebin = _json_object("rebin", d.get("rebin", {}))
             return cls(truth=truth, smearing=smearing, entries=entries, seed=seed,
                        meas_axis=meas_axis,
                        rebin=(rebin.get("extension_factor", 1.0),

@@ -130,7 +130,7 @@ def test_04_noiseless_consistency():
     rm = uf.ResponseMatrix(uf.Axis.uniform(0, 4, 4), uf.Axis.uniform(0, 3, 3), a)
     f_true = np.array([5.0, 3.0, 2.0, 4.0])
     g = uf.Histogram(rm.meas_axis, a @ f_true, stat_err=np.zeros(3))
-    limit = f_true - uf.kernel_projection(rm, f_true)
+    limit = f_true - (uf.kernel_projector(rm) @ f_true)
     state = uf.init(rm, g)
     prev = float(np.linalg.norm(state.f_n - limit))
     monotone = True

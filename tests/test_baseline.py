@@ -66,9 +66,9 @@ class TestKernelProjection:
     def test_invertible_projects_to_zero(self):
         rm = response_of(WELL_CONDITIONED)
         f = np.array([1.0, -2.0, 3.0])
-        assert np.abs(uf.kernel_projection(rm, f)).max() < 1e-10
+        assert np.abs(uf.kernel_projector(rm) @ f).max() < 1e-10
         # full column rank, square or tall: exact zeros, not rounding noise
-        assert not uf.kernel_projection(rm, f).any()
+        assert not (uf.kernel_projector(rm) @ f).any()
         assert not uf.kernel_projector(response_of(WELL_CONDITIONED[:, :2])).any()
 
     def test_duplicated_column_null_mode(self):
@@ -76,7 +76,7 @@ class TestKernelProjection:
                       [0.3, 0.8, 0.8]])
         rm = response_of(a)
         mode = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)
-        np.testing.assert_allclose(uf.kernel_projection(rm, mode), mode,
+        np.testing.assert_allclose(uf.kernel_projector(rm) @ mode, mode,
                                    atol=1e-12)
 
     def test_projector_identities(self):

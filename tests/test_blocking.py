@@ -164,11 +164,6 @@ class TestPseudoExperiments:
         assert peak <= 2 * (8 * sc.entries * 1.01 + 4 * 2**20)
 
 
-def gauss_cdf(sigma):
-    erf = np.vectorize(math.erf)
-    return lambda y, x: 0.5 * (1.0 + erf((y - x) / (sigma * math.sqrt(2.0))))
-
-
 def jittered(lo, hi, n, seed):
     edges = np.linspace(lo, hi, n + 1)
     edges[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 1) * (hi - lo) / n
@@ -193,16 +188,15 @@ class TestFromKernel:
     # of the non-uniform axes, so every budget must refuse with one message
     @pytest.mark.parametrize("sigma", [0.8, 3.0])
     @pytest.mark.parametrize("quad_points", [1, 3, 8])
-    @pytest.mark.parametrize("cdf", [False, True], ids=["kernel", "kernel_cdf"])
     @pytest.mark.parametrize("axes", sorted(AXES))
-    def test_same_matrix_at_every_budget(self, axes, cdf, quad_points, sigma):
+    def test_same_matrix_at_every_budget(self, axes, quad_points, sigma):
         true_axis, meas_axis = self.AXES[axes]
         outcomes = []
         for budget in (1, 64, 65_536, 4_000_000):
             with mock.patch.object(response, "_PAIR_BLOCK", budget):
                 outcomes.append(from_kernel_outcome(
                     uf.GaussianSmearing(sigma).kernel(), true_axis, meas_axis,
-                    quad_points=quad_points, kernel_cdf=gauss_cdf(sigma) if cdf else None))
+                    quad_points=quad_points))
         if sigma == 3.0 or axes == "uniform":
             assert isinstance(outcomes[0], np.ndarray)
         for other in outcomes[1:]:

@@ -397,6 +397,26 @@ class TestBadInputFiles:
         assert not (tmp_path / "o.json").exists()
 
 
+    @pytest.mark.parametrize("which, key, value, name", [
+        ("measured", None, [1, 2], "histogram"),
+        ("measured", "axis", [0, 1, 2, 3, 4], "axis"),
+        ("response", "true_axis", [0, 1], "axis"),
+        ("response", None, "R", "response")])
+    def test_array_or_string_for_an_object_exits_3(self, sim_dir, response_file, tmp_path,
+                                                   capsys, which, key, value, name):
+        files = {"measured": sim_dir / "measured.json", "response": response_file}
+        d = json.loads(files[which].read_text())
+        if key is None:
+            d = value
+        else:
+            d[key] = value
+        files[which] = tmp_path / "bad.json"
+        files[which].write_text(json.dumps(d))
+        assert self.unfold(files["measured"], files["response"], tmp_path) == 3
+        assert f"{name} must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+
 class TestUnfoldSource:
     def test_response_is_exclusive_with_kernel_and_pairs(self, sim_dir,
                                                          response_file, tmp_path):
@@ -538,4 +558,26 @@ class TestBadFactors:
         assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
         where = f"rebin.{field}" if "rebin" in change else field
         assert capsys.readouterr().err.endswith(f" (field: {where})\n")
+        assert not (tmp_path / "o" / "measured.json").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"meas_axis": [0, 24, 48]}, "meas_axis"),
+        ({"rebin": [1.0, 1]}, "rebin"),
+        ({"rebin": "1.5,1"}, "rebin")])
+    def test_array_or_string_for_an_object_exits_2(self, tmp_path, capsys, change, field):
+        config = {"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},
+                  "smearing": {"type": "gaussian_convolution", "sigma": 1.0},
+                  "entries": 100, "seed": 1,
+                  "meas_axis": {"low": -5.0, "high": 5.0, "nbins": 10}, **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "must be a JSON object" in err and err.endswith(f" (field: {field})\n")
+        assert not (tmp_path / "o" / "measured.json").exists()
+
+    def test_scenario_that_is_not_an_object_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o" / "measured.json").exists()

@@ -1,12 +1,11 @@
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import unfolder as uf
-from unfolder.errors import DimensionError, NormalizationError
+from unfolder.errors import DimensionError
 from unfolder.histogram import KINDS
 
 
@@ -98,34 +97,6 @@ class TestHistogramValidation:
     def test_unfolded_flag_is_stored_as_a_python_bool(self, flag):
         h = uf.Histogram(uf.Axis([0, 1, 2]), [1.0, 2.0], unfolded=flag)
         assert type(h.unfolded) is bool and h.unfolded == flag
-
-
-class TestNormalize:
-    def test_simple(self):
-        h = uf.Histogram(uf.Axis.uniform(0, 1, 2), [2.0, 2.0])
-        np.testing.assert_allclose(uf.normalize(h).contents, [0.5, 0.5])
-
-    def test_errors_share_the_scale(self):
-        h = uf.Histogram(uf.Axis.uniform(0, 1, 3), [1.0, 0.0, 3.0],
-                         stat_err=[1.0, 0.0, math.sqrt(3.0)])
-        n = uf.normalize(h)
-        np.testing.assert_allclose(n.contents, [0.25, 0.0, 0.75])
-        np.testing.assert_allclose(n.stat_err, [0.25, 0.0, math.sqrt(3.0) / 4])
-        assert n.kind == "mass"
-
-    def test_unit_total_and_idempotence(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            h = uf.Histogram(uf.Axis.uniform(0, 1, 8), rng.uniform(0.1, 5.0, 8))
-            n = uf.normalize(h)
-            assert abs(n.total - 1.0) < 1e-12
-            np.testing.assert_allclose(uf.normalize(n).contents, n.contents,
-                                       rtol=0, atol=1e-12)
-
-    def test_zero_total_rejected(self):
-        h = uf.Histogram(uf.Axis.uniform(0, 1, 2), [0.0, 0.0])
-        with pytest.raises(NormalizationError):
-            uf.normalize(h)
 
 
 class TestL1Distance:
@@ -238,15 +209,3 @@ class TestSerialization:
         d = json.loads(path.read_text())
         assert "stat_err" not in d and "syst_err" not in d
         assert uf.Histogram.load_json(path).stat_err is None
-
-    def test_csv_export(self, tmp_path):
-        h = uf.Histogram.from_counts(uf.Axis.uniform(0, 1, 2), [4, 0],
-                                     zero_bin_sigma=0.5)
-        path = tmp_path / "h.csv"
-        h.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "low_edge,high_edge,content,stat_err,syst_err"
-        row = lines[1].split(",")
-        assert float(row[0]) == 0.0 and float(row[1]) == 0.5
-        assert float(row[2]) == 4.0 and float(row[3]) == 2.0
-        assert float(lines[2].split(",")[3]) == 0.5

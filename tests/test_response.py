@@ -157,22 +157,6 @@ class TestLoadComputesKOnce:
 
 
 class TestFromKernel:
-    def test_dirac_like_is_identity(self):
-        # kernel far narrower than the bins: no migration; the cumulative
-        # form integrates the spike exactly
-        sigma = 1e-6
-        ax = uf.Axis.uniform(0.0, 5.0, 5)
-
-        def cdf(y, x):
-            z = (y - x) / (sigma * math.sqrt(2.0))
-            return 0.5 * (1.0 + np.vectorize(math.erf)(z))
-
-        rm = uf.ResponseMatrix.from_kernel(gauss_kernel(sigma), ax, ax,
-                                           kernel_cdf=cdf)
-        off = rm.matrix - np.eye(5)
-        assert np.abs(off).max() < 1e-6
-        assert rm.k_factor == pytest.approx(1.0, abs=1e-9)
-
     def test_padded_column_sums_against_erf(self):
         sigma = 0.5
         true_axis = uf.Axis.uniform(-4.0, 4.0, 32)

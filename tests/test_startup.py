@@ -82,6 +82,20 @@ class TestLazyImport:
         with pytest.raises(ImportError):
             from unfolder import no_such_name  # noqa: F401
 
+    def test_public_surface_is_pinned(self):
+        # adding or removing a public name is an edit of this list
+        assert sorted(uf.__all__) == [
+            "Axis", "CalorimeterSmearing", "CauchyTruth", "ConfigError", "ConstructionError",
+            "DecompositionError", "DegenerateOperatorError", "DimensionError", "EnsembleStats",
+            "ErrorBudget", "GaussianSmearing", "GaussianTruth", "GenerateResult", "Histogram",
+            "InvalidKernelError", "IterateState", "NumericalFailureError", "ParameterError",
+            "PowerlawTruth", "ResponseMatrix", "Scenario", "StoppingPolicy", "UnfoldResult",
+            "UnfoldingError", "__version__", "bias_bound", "compute_k", "condition_number",
+            "covariance_sqrt", "generate", "harmonic_number", "init", "kernel_projector",
+            "l1_distance", "l2_density_norm", "naive_invert", "pseudo_experiments",
+            "read_pairs_csv", "rebin_axes", "run", "stat_summary", "step", "syst_bound",
+            "write_pairs_csv"]
+
 
 
 class TestPerModuleLoading:

@@ -409,7 +409,7 @@ class TestNoiselessConsistency:
         rm = uf.ResponseMatrix(ax_t, ax_m, a)
         f_true = np.array([5.0, 3.0, 2.0, 4.0])
         g = uf.Histogram(ax_m, a @ f_true, stat_err=np.zeros(3))
-        limit = f_true - uf.kernel_projection(rm, f_true)
+        limit = f_true - (uf.kernel_projector(rm) @ f_true)
         s = uf.init(rm, g)
         prev = np.linalg.norm(s.f_n - limit)
         for _ in range(200):
@@ -441,10 +441,10 @@ def noiseless_cases(draw):
 
 def noiseless_deviations(case, orders=200):
     """|f_N - f_inf| per bin for N = 0..orders, from g = A f without noise,
-    with f_inf = f - kernel_projection(R, f); and the response."""
+    with f_inf = f - kernel_projector(R) @ f; and the response."""
     a, true_edges, f = case
     rm = uf.ResponseMatrix(uf.Axis(true_edges), uf.Axis.uniform(0.0, 1.0, a.shape[0]), a)
-    limit = f - uf.kernel_projection(rm, f)
+    limit = f - (uf.kernel_projector(rm) @ f)
     s = uf.init(rm, uf.Histogram(rm.meas_axis, a @ f, stat_err=np.zeros(a.shape[0])))
     out = []
     for _ in range(orders + 1):

@@ -2,13 +2,17 @@
 
 Each is a frozen dataclass with slots: fields cannot be assigned, instances
 have no ``__dict__``, and ``dataclasses.replace`` runs the constructor's
-checks again on the copy.  Only ``Axis`` compares by value.
+checks again on the copy.  Only ``Axis`` compares by value.  A copy made by
+``pickle`` or ``copy.deepcopy`` keeps every field, and its arrays stay
+read-only.
 """
 
 import copy
 import dataclasses
 import pickle
+import warnings
 
+import numpy as np
 import pytest
 
 import unfolder as uf
@@ -74,7 +78,45 @@ def test_value_type_contract(name):
         assert hash(obj) != hash(twin)
 
     assert repr(obj) == text
-    for back in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+    for back in copies(obj):
         assert type(back) is cls and back is not obj
         assert repr(back) == text
         assert back.to_dict() == obj.to_dict()
+        assert_same_fields(back, obj)
+
+
+def copies(obj):
+    """A deepcopy and a pickle round trip of `obj`, made with every warning
+    an error: the copies must not run the constructor's warnings again."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+
+
+def assert_same_fields(back, obj):
+    """Every field of `back` is that of `obj`: arrays read-only with the
+    same bytes, nested value types field by field, the rest equal."""
+    for f in dataclasses.fields(obj):
+        want, got = getattr(obj, f.name), getattr(back, f.name)
+        if dataclasses.is_dataclass(want):
+            assert_same_fields(got, want)
+        elif isinstance(want, np.ndarray):
+            assert not got.flags.writeable, f.name
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = -5
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
+def test_copies_of_a_loaded_response_keep_its_factor_and_empty_columns():
+    # a stored factor above K survives from_dict; the empty column warns once,
+    # when the response is built
+    d = _response().to_dict()
+    d["matrix"] = [[0.5, 0.0], [0.25, 0.0]]
+    d["k_factor"] = 3.0
+    with pytest.warns(RuntimeWarning, match="receive no response"):
+        rm = uf.ResponseMatrix.from_dict(d)
+    assert (rm.k_factor, rm.zero_columns) == (3.0, (1,))
+    for back in copies(rm):
+        assert_same_fields(back, rm)
