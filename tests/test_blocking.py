@@ -170,6 +170,21 @@ def jittered(lo, hi, n, seed):
     return uf.Axis(edges)
 
 
+def logistic_kernel(sigma):
+    """Logistic density of standard deviation sigma: smooth like the
+    Gaussian, with exponential tails."""
+    s = sigma * math.sqrt(3.0) / math.pi
+
+    def kernel(y, x):
+        z = np.exp(-np.abs(y - x) / s)
+        return z / (s * (1.0 + z) ** 2)
+    return kernel
+
+
+KERNELS = {"gaussian": lambda sigma: uf.GaussianSmearing(sigma).kernel(),
+           "logistic": logistic_kernel}
+
+
 def from_kernel_outcome(*args, **kwargs):
     """The matrix from_kernel builds, or the message it refuses with."""
     try:
@@ -188,14 +203,15 @@ class TestFromKernel:
     # of the non-uniform axes, so every budget must refuse with one message
     @pytest.mark.parametrize("sigma", [0.8, 3.0])
     @pytest.mark.parametrize("quad_points", [1, 3, 8])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("axes", sorted(AXES))
-    def test_same_matrix_at_every_budget(self, axes, quad_points, sigma):
+    def test_same_matrix_at_every_budget(self, axes, kernel, quad_points, sigma):
         true_axis, meas_axis = self.AXES[axes]
         outcomes = []
         for budget in (1, 64, 65_536, 4_000_000):
             with mock.patch.object(response, "_PAIR_BLOCK", budget):
                 outcomes.append(from_kernel_outcome(
-                    uf.GaussianSmearing(sigma).kernel(), true_axis, meas_axis,
+                    KERNELS[kernel](sigma), true_axis, meas_axis,
                     quad_points=quad_points))
         if sigma == 3.0 or axes == "uniform":
             assert isinstance(outcomes[0], np.ndarray)
