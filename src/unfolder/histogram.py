@@ -67,6 +67,16 @@ def _json_object(name, value):
     return value
 
 
+def _float_array(name, values):
+    """`values` as a float64 array; what numpy cannot read as numbers (a JSON
+    object, a non-numeric string, a ragged list) is refused with a
+    ParameterError naming `name`, not a TypeError out of numpy."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be an array of numbers ({exc})", name) from None
+
+
 def _frozen(values):
     out = np.array(values, dtype=np.float64, copy=True)
     out.flags.writeable = False
@@ -107,7 +117,7 @@ class Axis(_ReadOnlyCopies):
     edges: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.float64)
+        e = _float_array("edges", self.edges)
         if e.ndim != 1 or e.size < 2:
             raise ValueError(f"need at least two edges, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
@@ -179,6 +189,12 @@ class Axis(_ReadOnlyCopies):
         return cls.uniform(d["low"], d["high"], d["nbins"])
 
 
+def _check_shape(name, values, axis):
+    if values.shape != (axis.nbins,):
+        raise DimensionError(f"{name} has shape {values.shape}, but {axis.nbins} "
+                             f"bins need shape ({axis.nbins},)")
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Histogram(_ReadOnlyCopies):
     """Binned 1-D distribution with optional error vectors.
@@ -215,10 +231,8 @@ class Histogram(_ReadOnlyCopies):
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not isinstance(self.unfolded, (bool, np.bool_)):
             raise ValueError(f"unfolded must be true or false, got {self.unfolded!r}")
-        c = np.asarray(self.contents, dtype=np.float64)
-        if c.shape != (axis.nbins,):
-            raise DimensionError(
-                f"contents length {c.size} does not match {axis.nbins} bins")
+        c = _float_array("contents", self.contents)
+        _check_shape("contents", c, axis)
         if not np.all(np.isfinite(c)):
             raise ValueError("contents must be finite")
         if not self.unfolded and np.any(c < 0):
@@ -233,9 +247,8 @@ class Histogram(_ReadOnlyCopies):
         err = getattr(self, name)
         if err is None:
             return None
-        e = np.asarray(err, dtype=np.float64)
-        if e.shape != (axis.nbins,):
-            raise DimensionError(f"{name} length {e.size} does not match {axis.nbins} bins")
+        e = _float_array(name, err)
+        _check_shape(name, e, axis)
         if not np.all(np.isfinite(e)):
             raise ValueError(f"{name} must be finite")
         if np.any(e < 0):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ConstructionError, DegenerateOperatorError,
                      DimensionError, InvalidKernelError)
-from .histogram import (Axis, Histogram, _json_object, _load_json, _ReadOnlyCopies, _real,
-                        _save_json, _whole_number)
+from .histogram import (Axis, Histogram, _float_array, _json_object, _load_json,
+                        _ReadOnlyCopies, _real, _save_json, _whole_number)
 
 COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
@@ -102,7 +102,7 @@ class ResponseMatrix(_ReadOnlyCopies):
     zero_columns: tuple = field(init=False)
 
     def __post_init__(self, k_override):
-        m = np.array(self.matrix, dtype=np.float64, copy=True)
+        m = _float_array("matrix", self.matrix).copy()
         if m.shape != (self.meas_axis.nbins, self.true_axis.nbins):
             raise DimensionError(
                 f"matrix shape {m.shape} does not match ({self.meas_axis.nbins} "

@@ -218,14 +218,24 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d) -> "Scenario":
+        def json_object(name, value, field=None):
+            try:
+                return _json_object(name, value)
+            except ParameterError as exc:
+                raise ConfigError(str(exc), field=field) from None
+
         def need(mapping, key, where=""):
             if key not in mapping:
                 name = f"{where}.{key}" if where else key
                 raise ConfigError(f"missing configuration field '{name}'", field=name)
             return mapping[key]
 
-        def build(entry, table, where):
+        def build(table, where):
+            entry = json_object(where, need(d, where), field=where)
             kind = need(entry, "type", where)
+            if not isinstance(kind, str):
+                raise ConfigError(f"{where} type must be a string, got "
+                                  f"{type(kind).__name__}", field=f"{where}.type")
             if kind not in table:
                 raise ConfigError(
                     f"unknown {where} type '{kind}' (choices: {sorted(table)})",
@@ -237,8 +247,9 @@ class Scenario:
             except ParameterError as exc:
                 raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
 
-        truth = build(need(d, "truth"), _TRUTH_TYPES, "truth")
-        smearing = build(need(d, "smearing"), _SMEARING_TYPES, "smearing")
+        d = json_object("scenario", d)
+        truth = build(_TRUTH_TYPES, "truth")
+        smearing = build(_SMEARING_TYPES, "smearing")
         entries, seed = need(d, "entries"), need(d, "seed")
         try:
             meas_axis = Axis.from_dict(need(d, "meas_axis"))
@@ -284,7 +295,8 @@ def _draws(sc: Scenario, rng, x):
     """Fill `x` with truth draws, then yield each `_PAIR_BLOCK` slice of it
     with its smeared values.  A numpy Generator fills n values as n
     successive draws, so this is the stream of one `truth.sample` and one
-    `smearing.apply` call on all of `x`, and only `x` grows with it."""
+    `smearing.apply` call on all of `x`, and only `x` grows with it.  `x`
+    may be a view into a longer buffer that the caller reuses."""
     blocks = [slice(start, start + _PAIR_BLOCK)
               for start in range(0, x.size, _PAIR_BLOCK)]
     for b in blocks:
@@ -293,24 +305,30 @@ def _draws(sc: Scenario, rng, x):
         yield b, sc.smearing.apply(rng, x[b])
 
 
-def _tally(v, edges):
-    """``[below, count per bin..., above]`` of `v` on `edges`, counted as
-    ``np.histogram`` counts array bins (sort, one search of the edges): the
-    last bin is closed, `below` and `above` count values off the axis (±inf
-    included) and NaN counts in neither.  Sorts `v` in place."""
+def _tally(v, keys, ends):
+    """Sort `v` in place and add its slot ends on `keys`, an axis's
+    ``_closed_edges(edges, np.nan)``, to the intp array `ends`.
+
+    Once every block of a sample has been added, ``np.diff(ends,
+    prepend=0)`` is ``[below, count per bin..., above]`` counted as
+    ``np.histogram`` counts (sort, one search of the keys): the last bin is
+    closed, `below` and `above` count values off the axis (±inf included)
+    and NaN counts in neither.  The difference is linear, so summing the
+    ends of the blocks and taking one difference counts the whole sample."""
     v.sort()
-    keys = _closed_edges(edges, np.nan)
-    return np.diff(v.searchsorted(keys), prepend=0)
+    ends += v.searchsorted(keys)
 
 
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
     true_axis, meas_axis = sc.true_axis, sc.meas_axis
     pairs = np.empty((n_entries, 2))
-    tc, mc = (np.zeros(a.nbins + 2, dtype=np.intp) for a in (true_axis, meas_axis))
+    true_keys, meas_keys = (_closed_edges(a.edges, np.nan) for a in (true_axis, meas_axis))
+    tc, mc = (np.zeros(k.size, dtype=np.intp) for k in (true_keys, meas_keys))
     for b, y in _draws(sc, rng, pairs[:, 0]):
         pairs[b, 1] = y
-        tc += _tally(pairs[b, 0].copy(), true_axis.edges)
-        mc += _tally(y, meas_axis.edges)
+        _tally(pairs[b, 0].copy(), true_keys, tc)
+        _tally(y, meas_keys, mc)
+    tc, mc = np.diff(tc, prepend=0), np.diff(mc, prepend=0)
     return GenerateResult(Histogram.from_counts(true_axis, tc[1:-1]),
                           Histogram.from_counts(meas_axis, mc[1:-1]), pairs,
                           int(tc[0]), int(tc[-1]), int(mc[0]), int(mc[-1]))
@@ -356,9 +374,13 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     draw of 0 included, which makes the bin contents exactly independent
     Poisson variates; otherwise the total is fixed (multinomial bins).
 
-    `workers` threads parallelize the sample generation (clamped to the
-    number of experiments and of CPUs); results are bit-identical for any
-    worker count.
+    Experiment k's counts are row k of one ``(n_experiments, nbins)``
+    matrix, and `workers` threads fill it (clamped to the number of
+    experiments and of CPUs): worker w takes the experiments
+    ``w, w + workers, w + 2 * workers, ...`` as one task, drawing each into
+    one truth buffer it reuses.  A row depends only on its seed, not on
+    which worker drew it or what that worker drew before, so results are
+    bit-identical for any worker count.
     """
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
     from concurrent.futures import ThreadPoolExecutor
@@ -371,20 +393,26 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     elif len(seeds) != n_experiments:
         raise ValueError("seeds length must equal n_experiments")
 
-    edges = sc.meas_axis.edges
+    keys = _closed_edges(sc.meas_axis.edges, np.nan)
+    g_matrix = np.empty((n_experiments, sc.meas_axis.nbins))
 
-    def measured_counts(seed):
+    def measure(share):
         # the draws of generate(); only the measured side is binned
-        rng = np.random.default_rng(seed)
-        n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-        counts = np.zeros(edges.size + 1, dtype=np.intp)
-        for _, y in _draws(sc, rng, np.empty(n)):
-            counts += _tally(y, edges)
-        return counts[1:-1]
+        x, ends = np.empty(0), np.empty(keys.size, dtype=np.intp)
+        for k in share:
+            rng = np.random.default_rng(seeds[k])
+            n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
+            if n > x.size:
+                x = np.empty(n)
+            ends[:] = 0
+            for _, y in _draws(sc, rng, x[:n]):
+                _tally(y, keys, ends)
+            g_matrix[k] = np.diff(ends[:-1])  # the bins; below and above dropped
 
-    with ThreadPoolExecutor(max_workers=_worker_count(workers, n_experiments)) as pool:
-        counts = list(pool.map(measured_counts, seeds))
-    g_matrix = np.vstack(counts, dtype=np.float64)
+    n_workers = _worker_count(workers, n_experiments)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(measure, [range(w, n_experiments, n_workers)
+                                for w in range(n_workers)]))
     mean_g = g_matrix.mean(axis=0)
     d = g_matrix - mean_g
     # einsum, not BLAS: no threaded product that grows with n_experiments

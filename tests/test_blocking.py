@@ -5,7 +5,9 @@ at any block size, and its temporaries stay one block in size.  The sampled
 blocks are binned by simulate._tally, pinned to np.histogram here."""
 
 import math
+import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -118,6 +120,13 @@ def values_and_edges(draw):
     return np.array(draw(st.lists(value, max_size=40)), dtype=np.float64), edges
 
 
+def tally(v, edges):
+    """`_tally`'s counts of `v` alone: its ends from zero, one difference."""
+    ends = np.zeros(edges.size + 1, dtype=np.intp)
+    simulate._tally(v, response._closed_edges(edges, np.nan), ends)
+    return np.diff(ends, prepend=0)
+
+
 class TestTally:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(case=values_and_edges())
@@ -125,13 +134,16 @@ class TestTally:
     def test_is_histogram_and_tallies_split_anywhere(self, case):
         v, edges = case
         want, whole = tally_reference(v, edges), v.copy()
-        got = simulate._tally(whole, edges)
+        got = tally(whole, edges)
         assert got.dtype == np.intp and np.array_equal(got, want)
         assert bits(whole) == bits(np.sort(v))
+        keys = response._closed_edges(edges, np.nan)
         for k in range(v.size + 1):
-            parts = (simulate._tally(v[:k].copy(), edges)
-                     + simulate._tally(v[k:].copy(), edges))
-            assert np.array_equal(parts, want)
+            ends = np.zeros(keys.size, dtype=np.intp)
+            simulate._tally(v[:k].copy(), keys, ends)
+            simulate._tally(v[k:].copy(), keys, ends)
+            assert ends.dtype == np.intp
+            assert np.array_equal(np.diff(ends, prepend=0), want)
 
 
 def ensemble_bits(sc, R, **kwargs):
@@ -151,6 +163,52 @@ class TestPseudoExperiments:
             for workers in (1, 2):
                 assert ensemble_bits(sc, R, poisson_total=poisson_total,
                                      workers=workers) == whole
+
+    @pytest.mark.parametrize("poisson_total", [True, False])
+    def test_same_moments_for_any_share_of_seeds(self, poisson_total):
+        # 7 experiments in shares of 1, 2 and 3 (3 threads even on a
+        # 2-CPU host, switching often), seeds out of order; a row depends
+        # only on its seed, and a row left unwritten would change the moments
+        sc = uf.Scenario(truth=uf.CauchyTruth(0.3, 1.1), smearing=uf.GaussianSmearing(0.7),
+                         entries=200, seed=4, meas_axis=uf.Axis.uniform(-3.0, 3.0, 12))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(12) * 0.8)
+        seeds = [90, 3, 57, 3, 12, 1000, 8]
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(simulate.os, "cpu_count", return_value=3):
+                for workers in (1, 2, 3):
+                    ens = uf.pseudo_experiments(sc, 7, R, uf.StoppingPolicy.fixed(3),
+                                                poisson_total=poisson_total,
+                                                workers=workers, seeds=seeds)
+                    got.append((ens.order, bits(ens.mean), bits(ens.covariance)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[1] == got[0] and got[2] == got[0]
+        reordered = uf.pseudo_experiments(sc, 7, R, uf.StoppingPolicy.fixed(3),
+                                          poisson_total=poisson_total, workers=2,
+                                          seeds=seeds[::-1])
+        assert np.allclose(reordered.mean, ens.mean, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fixed_total_rows_are_generate_measured(self, workers):
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=400, seed=6, meas_axis=uf.Axis.uniform(0.0, 8.0, 16))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16) * 0.9)
+        policy = uf.StoppingPolicy.fixed(4)
+        seeds = [31, 7, 19, 2, 25]
+        ens = uf.pseudo_experiments(sc, 5, R, policy, poisson_total=False,
+                                    workers=workers, seeds=seeds)
+        g = np.vstack([uf.generate(replace(sc, seed=s)).measured.contents for s in seeds])
+        mean_g = g.mean(axis=0)
+        d = g - mean_g
+        want = uf.run(R, uf.Histogram(sc.meas_axis, mean_g, kind="counts"), policy,
+                      covariance=np.einsum("ki,kj->ij", d, d) / (len(seeds) - 1))
+        assert ens.order == want.stopped_at
+        assert bits(ens.mean) == bits(want.state.f_n)
+        assert bits(ens.covariance) == bits(want.state.covariance)
 
     def test_peak_is_the_truth_draws_and_one_block_per_worker(self):
         # one side of a sample is 8 MB; the smeared side and the smearing's

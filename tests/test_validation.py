@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import unfolder as uf
+from unfolder import cli
 from unfolder.histogram import MAX_BINS
 
 AXIS = uf.Axis.uniform(0.0, 3.0, 3)
@@ -487,3 +488,89 @@ class TestForeignPolicyParameter:
         assert uf.StoppingPolicy.stat_fraction(0.1).order is None
         policy = uf.StoppingPolicy.min_total()
         assert (policy.order, policy.threshold) == (None, None)
+
+
+class TestNonObjectScenarioEntries:
+    """A model entry that is not an object, a type that is not a string and
+    a scenario that is not an object are usage errors naming the field, not
+    a TypeError; the CLI exits 2."""
+
+    CASES = [({"truth": 5}, "truth", "truth must be a JSON object"),
+             ({"smearing": [GAUSS_SMEARING]}, "smearing", "smearing must be a JSON object"),
+             ({"truth": {**CAUCHY_TRUTH, "type": ["cauchy"]}}, "truth.type",
+              "truth type must be a string"),
+             ({"smearing": {**GAUSS_SMEARING, "type": 1}}, "smearing.type",
+              "smearing type must be a string")]
+
+    @pytest.mark.parametrize("change, field, message", CASES)
+    def test_from_dict(self, change, field, message):
+        d = {**scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING), **change}
+        with pytest.raises(uf.ConfigError, match=message) as exc:
+            uf.Scenario.from_dict(d)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("value", [7, "scenario", None])
+    def test_scenario_that_is_not_an_object(self, value):
+        with pytest.raises(uf.ConfigError, match="scenario must be a JSON object"):
+            uf.Scenario.from_dict(value)
+
+    @pytest.mark.parametrize("change, field, message", CASES)
+    def test_cli_exits_2(self, tmp_path, capsys, change, field, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING), **change}))
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.endswith(f" (field: {field})\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_cli_exits_2_on_a_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("7")
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "scenario must be a JSON object, got int" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestObjectForAnArray:
+    """A JSON object (or another non-number) where an array of numbers
+    belongs is a data error naming the field; the CLI exits 3."""
+
+    H = uf.Histogram(AXIS, [1.0, 2.0, 0.0], stat_err=[1.0, 1.4, 0.0])
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("contents", {"a": 1}, "contents"),
+        ("stat_err", {"a": 1}, "stat_err"),
+        ("syst_err", [[1.0], [2.0, 3.0], [4.0]], "syst_err"),
+        ("axis", {"edges": {"a": 1}}, "edges"),
+        ("axis", {"edges": [0.0, "one", 2.0, 3.0]}, "edges")])
+    def test_histogram_from_dict(self, key, value, field):
+        d = {**self.H.to_dict(), key: value}
+        with pytest.raises(uf.ParameterError, match=f"{field} must be an array of numbers") as exc:
+            uf.Histogram.from_dict(d)
+        assert exc.value.name == field
+
+    def test_response_matrix_from_dict(self):
+        d = {**uf.ResponseMatrix(AXIS, AXIS, np.eye(3)).to_dict(), "matrix": {"a": 1}}
+        with pytest.raises(uf.ParameterError, match="matrix must be an array of numbers"):
+            uf.ResponseMatrix.from_dict(d)
+
+    @pytest.mark.parametrize("name", ["contents", "stat_err"])
+    def test_wrong_shape_is_named_with_its_shape(self, name):
+        one = uf.Axis.uniform(0.0, 1.0, 1)
+        with pytest.raises(uf.DimensionError,
+                           match=fr"{name} has shape \(1, 1\), but 1 bins need shape \(1,\)"):
+            uf.Histogram(one, [[1.0]] if name == "contents" else [1.0],
+                         **({"stat_err": [[1.0]]} if name == "stat_err" else {}))
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("contents", {"a": 1}, "contents"),
+        ("axis", {"edges": {"a": 1}}, "edges")])
+    def test_cli_fold_exits_3(self, tmp_path, capsys, key, value, field):
+        truth, response = tmp_path / "truth.json", tmp_path / "R.json"
+        truth.write_text(json.dumps({**self.H.to_dict(), key: value}))
+        uf.ResponseMatrix(AXIS, AXIS, np.eye(3)).save_json(response)
+        out = tmp_path / "folded.json"
+        assert cli.main(["fold", "--truth", str(truth), "--response", str(response),
+                         "--out", str(out)]) == 3
+        assert f"{field} must be an array of numbers" in capsys.readouterr().err
+        assert not out.exists()
