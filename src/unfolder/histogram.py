@@ -68,12 +68,23 @@ def _json_object(name, value):
 
 
 def _float_array(name, values):
-    """`values` as a float64 array; what numpy cannot read as numbers (a JSON
-    object, a non-numeric string, a ragged list) is refused with a
-    ParameterError naming `name`, not a TypeError out of numpy."""
+    """`values` as a float64 array.  What numpy does not read as numbers is
+    refused with a ParameterError naming `name`: a JSON object, a string
+    (numeric or not), an array of booleans, a ragged list, and an integer
+    beyond float64's range.  An integer numpy holds as an object (10**20)
+    is read as the number it is; a list mixing numbers and booleans is
+    cast by numpy, as ``[1, True]`` is an integer array."""
     try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(values)
+        if a.dtype.kind == "O":
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in a.flat):
+                raise TypeError("not every entry is a number")
+        elif a.dtype.kind not in "iuf":
+            raise TypeError("got " + {"b": "booleans", "U": "strings"}.get(
+                a.dtype.kind, f"{a.dtype.name} entries"))
+        return a.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be an array of numbers ({exc})", name) from None
 
 

@@ -28,6 +28,14 @@ def _gauss_cdf(z):
                     ).reshape(z.shape)
 
 
+def _copy(x, out):
+    """`x` copied into `out`, or into a new array when `out` is None."""
+    if out is None:
+        return x.copy()
+    out[...] = x
+    return out
+
+
 @dataclass(frozen=True)
 class _Model:
     """Base of the truth and smearing models.  Every parameter must be a
@@ -35,7 +43,14 @@ class _Model:
     without an error); `_LOW` maps a bounded one to its ``(low, strict)``
     bound, see :func:`~unfolder.histogram._real`.  An integral parameter is
     stored as an int and any other as a float, so a numpy scalar is written
-    to JSON as the number it holds."""
+    to JSON as the number it holds.
+
+    A truth model's ``sample(rng, n, out=None)`` draws n values, and a
+    smearing model's ``apply(rng, x, out=None)`` smears the values `x`.
+    Given `out`, a contiguous float64 array of the result's size, the
+    values are written there and `out` is returned; a model whose Generator
+    call takes no `out` copies its draws into it once.  The draws, the
+    arithmetic and the values are the same with `out` and without it."""
 
     _LOW = {}
 
@@ -55,10 +70,10 @@ class CauchyTruth(_Model):
     scale: float = 1.0
     _LOW = {"scale": (0.0, True)}
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
         # in place, same operations in the same order as
         # location + scale * tan(pi * (u - 0.5))
-        u = rng.random(n)
+        u = rng.random(n, out=out)
         u -= 0.5
         u *= np.pi
         np.tan(u, out=u)
@@ -76,8 +91,9 @@ class GaussianTruth(_Model):
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, True)}
 
-    def sample(self, rng, n):
-        return rng.normal(self.mean, self.sigma, n)
+    def sample(self, rng, n, out=None):
+        x = rng.normal(self.mean, self.sigma, n)
+        return x if out is None else _copy(x, out)
 
     def cdf(self, x):
         return _gauss_cdf((np.asarray(x) - self.mean) / self.sigma)
@@ -96,10 +112,10 @@ class PowerlawTruth(_Model):
     scale_energy: float = 1.0
     _LOW = {"exponent": (1.0, True), "scale_energy": (0.0, True)}
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
         # in place, same operations in the same order as
         # nt * ((1 - u) ** (-1 / (n - 1)) - 1)
-        u = rng.random(n)
+        u = rng.random(n, out=out)
         nt = self.exponent * self.scale_energy
         np.subtract(1.0, u, out=u)
         u **= -1.0 / (self.exponent - 1.0)
@@ -121,14 +137,13 @@ class GaussianSmearing(_Model):
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, False)}
 
-    def apply(self, rng, x):
+    def apply(self, rng, x, out=None):
         if self.sigma == 0:
-            return x.copy()
+            return _copy(x, out)
         # normal(0, sigma), not sigma * standard_normal: 0.0 + sigma * z
         # and sigma * z can differ in the sign of zero
         y = rng.normal(0.0, self.sigma, x.size)
-        y += x
-        return y
+        return np.add(y, x, out=y if out is None else out)
 
     def kernel(self):
         """Vectorized response density rho(y | x)."""
@@ -148,10 +163,10 @@ class CalorimeterSmearing(_Model):
     constant_b: float = 0.055
     _LOW = {"stochastic_a": (0.0, False), "constant_b": (0.0, False)}
 
-    def apply(self, rng, x):
+    def apply(self, rng, x, out=None):
         a, b = self.stochastic_a, self.constant_b
         if a == 0 and b == 0:
-            return x.copy()
+            return _copy(x, out)
         # in place, same operations in the same order as
         # rel = sqrt(where(x > 0, a^2 / x, 0) + b^2);
         # maximum(where(x > 0, x * (1 + rel * z), x), 0)
@@ -160,7 +175,7 @@ class CalorimeterSmearing(_Model):
         np.divide(a * a, x, out=rel, where=positive)
         rel += b * b
         np.sqrt(rel, out=rel)
-        y = rng.standard_normal(x.size)
+        y = rng.standard_normal(x.size, out=out)
         y *= rel
         y += 1.0
         y *= x
@@ -291,18 +306,26 @@ class GenerateResult:
     meas_overflow: int
 
 
-def _draws(sc: Scenario, rng, x):
+def _draws(sc: Scenario, rng, x, out):
     """Fill `x` with truth draws, then yield each `_PAIR_BLOCK` slice of it
-    with its smeared values.  A numpy Generator fills n values as n
-    successive draws, so this is the stream of one `truth.sample` and one
-    `smearing.apply` call on all of `x`, and only `x` grows with it.  `x`
-    may be a view into a longer buffer that the caller reuses."""
-    blocks = [slice(start, start + _PAIR_BLOCK)
+    with its smeared values, written into the start of `out`: the caller's
+    buffer of one block (or of `x`, if smaller), overwritten by the next
+    block.  A numpy Generator fills n values as n successive draws, so this
+    is the stream of one `truth.sample` and one `smearing.apply` call on
+    all of `x`, and only `x` grows with it.  A contiguous `x` (it may be a
+    view into a longer buffer that the caller reuses) is drawn into in
+    place; a strided one, a column of the pairs, takes each block of truth
+    draws through `out`."""
+    blocks = [slice(start, min(start + _PAIR_BLOCK, x.size))
               for start in range(0, x.size, _PAIR_BLOCK)]
     for b in blocks:
-        x[b] = sc.truth.sample(rng, len(x[b]))
+        m = b.stop - b.start
+        if x.flags.c_contiguous:
+            sc.truth.sample(rng, m, out=x[b])
+        else:
+            x[b] = sc.truth.sample(rng, m, out=out[:m])
     for b in blocks:
-        yield b, sc.smearing.apply(rng, x[b])
+        yield b, sc.smearing.apply(rng, x[b], out=out[:b.stop - b.start])
 
 
 def _tally(v, keys, ends):
@@ -324,10 +347,11 @@ def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
     pairs = np.empty((n_entries, 2))
     true_keys, meas_keys = (_closed_edges(a.edges, np.nan) for a in (true_axis, meas_axis))
     tc, mc = (np.zeros(k.size, dtype=np.intp) for k in (true_keys, meas_keys))
-    for b, y in _draws(sc, rng, pairs[:, 0]):
+    for b, y in _draws(sc, rng, pairs[:, 0], np.empty(min(n_entries, _PAIR_BLOCK))):
         pairs[b, 1] = y
-        _tally(pairs[b, 0].copy(), true_keys, tc)
         _tally(y, meas_keys, mc)
+        y[...] = pairs[b, 0]  # the block buffer again, for a sortable copy of the truth
+        _tally(y, true_keys, tc)
     tc, mc = np.diff(tc, prepend=0), np.diff(mc, prepend=0)
     return GenerateResult(Histogram.from_counts(true_axis, tc[1:-1]),
                           Histogram.from_counts(meas_axis, mc[1:-1]), pairs,
@@ -377,8 +401,10 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     Experiment k's counts are row k of one ``(n_experiments, nbins)``
     matrix, and `workers` threads fill it (clamped to the number of
     experiments and of CPUs): worker w takes the experiments
-    ``w, w + workers, w + 2 * workers, ...`` as one task, drawing each into
-    one truth buffer it reuses.  A row depends only on its seed, not on
+    ``w, w + workers, w + 2 * workers, ...`` as one task.  It draws each
+    into two buffers of its own, made once and reused: the truth draws,
+    grown to its largest sample, and one block of smeared values.  The
+    models fill both in place.  A row depends only on its seed, not on
     which worker drew it or what that worker drew before, so results are
     bit-identical for any worker count.
     """
@@ -398,14 +424,16 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
 
     def measure(share):
         # the draws of generate(); only the measured side is binned
-        x, ends = np.empty(0), np.empty(keys.size, dtype=np.intp)
+        x, out = np.empty(0), np.empty(_PAIR_BLOCK)
+        ends = np.empty(keys.size, dtype=np.intp)
         for k in share:
             rng = np.random.default_rng(seeds[k])
             n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
             if n > x.size:
+                del x  # the old draws go before the larger buffer comes
                 x = np.empty(n)
             ends[:] = 0
-            for _, y in _draws(sc, rng, x[:n]):
+            for _, y in _draws(sc, rng, x[:n], out):
                 _tally(y, keys, ends)
             g_matrix[k] = np.diff(ends[:-1])  # the bins; below and above dropped
 

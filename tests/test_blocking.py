@@ -1,7 +1,7 @@
 """generate, pseudo_experiments, the pairs CSV and kernel quadrature work
 in blocks of response._PAIR_BLOCK values (the CSV writer in strings of
 response._CSV_ROWS rows); each is pinned bit for bit to the one-shot formula
-at any block size, and its temporaries stay one block in size.  The sampled
+at any block size, and its temporaries stay a few blocks in size.  The sampled
 blocks are binned by simulate._tally, pinned to np.histogram here."""
 
 import math
@@ -91,11 +91,14 @@ class TestGenerate:
                 meas_axis=uf.Axis.uniform(-1.0, 4.0, 9), rebin=rebin))
 
     def test_peak_is_the_pairs_and_one_block(self):
+        # beside the pairs: the block buffer, and the calorimeter's
+        # resolution term and masks, 2.25 blocks of float64 in all
         sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
                          smearing=uf.CalorimeterSmearing(1.15, 0.055),
                          entries=500_000, seed=3, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
+        uf.generate(replace(sc, entries=1))  # first-call imports, outside the trace
         peak, res = traced_peak(lambda: uf.generate(sc))
-        assert peak <= 1.25 * res.pairs.nbytes
+        assert peak <= res.pairs.nbytes + 3 * 8 * B
 
 
 def tally_reference(v, edges):
@@ -211,15 +214,33 @@ class TestPseudoExperiments:
         assert bits(ens.covariance) == bits(want.state.covariance)
 
     def test_peak_is_the_truth_draws_and_one_block_per_worker(self):
-        # one side of a sample is 8 MB; the smeared side and the smearing's
-        # temporaries are one block each
+        # one side of a sample is 8 MB; beside it, each worker holds its
+        # smeared block and the calorimeter's resolution term and masks,
+        # 2.25 blocks of float64 in all
         sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
                          smearing=uf.CalorimeterSmearing(1.15, 0.055),
                          entries=10**6, seed=5, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
         R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(48))
-        peak, _ = traced_peak(lambda: uf.pseudo_experiments(
-            sc, 2, R, uf.StoppingPolicy.fixed(2), workers=2))
-        assert peak <= 2 * (8 * sc.entries * 1.01 + 4 * 2**20)
+        policy = uf.StoppingPolicy.fixed(2)
+        uf.pseudo_experiments(replace(sc, entries=1), 2, R, policy)  # first-call imports
+        peak, _ = traced_peak(lambda: uf.pseudo_experiments(sc, 2, R, policy, workers=2))
+        assert peak <= 2 * (8 * sc.entries * 1.01 + 3 * 8 * B)
+
+    def test_peak_does_not_grow_with_the_experiments(self):
+        # one worker's buffers are made once, so 16 experiments hold no more
+        # than 2 beyond their rows of counts and of deviations from the
+        # mean, and the few more truth draws the largest of 16 Poisson
+        # totals can take (within four standard deviations)
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=20_000, seed=9, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(48))
+        policy = uf.StoppingPolicy.fixed(2)
+        uf.pseudo_experiments(replace(sc, entries=1), 2, R, policy)  # first-call imports
+        peaks = {n: traced_peak(lambda: uf.pseudo_experiments(sc, n, R, policy, workers=1))[0]
+                 for n in (2, 16)}
+        row = 8 * sc.meas_axis.nbins
+        assert peaks[16] <= peaks[2] + 2 * 14 * row + 8 * 4 * math.sqrt(sc.entries)
 
 
 def jittered(lo, hi, n, seed):
@@ -301,7 +322,8 @@ class TestPairsCsv:
         assert back.shape == (n, 2)
 
     @pytest.mark.parametrize("rows", [3, response._CSV_ROWS])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 4_095, 4_096, 4_097, 8_193])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 1_023, 1_024, 1_025, 4_095, 4_096,
+                                   4_097, 8_193])
     def test_written_text_is_one_line_per_row(self, tmp_path, rows, n):
         pairs = np.resize(self.PAIRS, (n, 2))
         pairs[n // 2:, 0] += np.arange(n - n // 2) / 7

@@ -76,7 +76,8 @@ def values(rng, axis, n):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(true_axis=axes(), meas_axis=axes(),
-       n=st.sampled_from([1, 5, 300, 65_535, 65_536, 65_537, 140_000]),
+       n=st.sampled_from([1, 5, 300, 16_383, 16_384, 16_385, 65_535, 65_536, 65_537,
+                          140_000]),
        seed=st.integers(0, 2**32 - 1))
 def test_matrix_equals_histogram_formula(true_axis, meas_axis, n, seed):
     assume(true_axis is not None and meas_axis is not None)

@@ -574,3 +574,54 @@ class TestObjectForAnArray:
                          "--out", str(out)]) == 3
         assert f"{field} must be an array of numbers" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNumbersOnlyInArrays:
+    """An array of numbers holds numbers: numeric strings, booleans and an
+    integer beyond float64's range are refused naming the field (the CLI
+    exits 3), and an integer numpy holds as an object still loads."""
+
+    H = TestObjectForAnArray.H
+    BAD = {"numeric strings": ["1.5", "2", "0"], "booleans": [True, True, True],
+           "huge integer": [10**400, 2.0, 0.0]}
+    R = uf.ResponseMatrix(AXIS, AXIS, np.eye(3))
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("field", ["contents", "stat_err", "edges"])
+    def test_histogram_from_dict(self, field, case):
+        values = self.BAD[case]
+        d = self.H.to_dict()
+        if field == "edges":
+            d["axis"] = {"edges": values + values[-1:]}  # 4 edges of 3 bins
+        else:
+            d[field] = values
+        with pytest.raises(uf.ParameterError,
+                           match=f"{field} must be an array of numbers") as exc:
+            uf.Histogram.from_dict(d)
+        assert exc.value.name == field
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_response_matrix_from_dict(self, case):
+        d = {**self.R.to_dict(), "matrix": [self.BAD[case]] * 3}
+        with pytest.raises(uf.ParameterError, match="matrix must be an array of numbers"):
+            uf.ResponseMatrix.from_dict(d)
+
+    def test_integers_held_as_objects_load(self):
+        # numpy holds 10**20 as an object, and an int64 and a bool mixed
+        # are cast as numbers
+        d = {**self.H.to_dict(), "contents": [10**20, 1, 0], "stat_err": [1, True, 0]}
+        h = uf.Histogram.from_dict(d)
+        assert h.contents.tolist() == [1e20, 1.0, 0.0]
+        assert h.stat_err.tolist() == [1.0, 1.0, 0.0]
+        assert uf.Axis([0, 10**20]).edges.tolist() == [0.0, 1e20]
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_cli_unfold_exits_3(self, tmp_path, capsys, case):
+        measured, response = tmp_path / "measured.json", tmp_path / "R.json"
+        measured.write_text(json.dumps({**self.H.to_dict(), "contents": self.BAD[case]}))
+        self.R.save_json(response)
+        out = tmp_path / "result.json"
+        assert cli.main(["unfold", "--measured", str(measured), "--response", str(response),
+                         "--stop", "fixed=3", "--out", str(out)]) == 3
+        assert "contents must be an array of numbers" in capsys.readouterr().err
+        assert not out.exists()
