@@ -21,19 +21,15 @@ from .histogram import (Axis, Histogram, _json_object, _load_json, _real, _save_
                         _whole_number, rebin_axes)
 from .response import _PAIR_BLOCK, ResponseMatrix, _closed_edges, _gaussian_kernel
 
+# a pseudo_experiments worker draws consecutive experiments that fit this
+# many _PAIR_BLOCKs of values together, as one batch
+_BATCH_BLOCKS = 2
+
 
 def _gauss_cdf(z):
     z = np.asarray(z, dtype=np.float64)
     return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z.ravel()]
                     ).reshape(z.shape)
-
-
-def _copy(x, out):
-    """`x` copied into `out`, or into a new array when `out` is None."""
-    if out is None:
-        return x.copy()
-    out[...] = x
-    return out
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,12 @@ class _Model:
     A truth model's ``sample(rng, n, out=None)`` draws n values, and a
     smearing model's ``apply(rng, x, out=None)`` smears the values `x`.
     Given `out`, a contiguous float64 array of the result's size, the
-    values are written there and `out` is returned; a model whose Generator
-    call takes no `out` copies its draws into it once.  The draws, the
-    arithmetic and the values are the same with `out` and without it."""
+    values are written there and `out` is returned.  Each is one Generator
+    fill of the draws (`_fill`) and then in-place arithmetic on them
+    (`_transform`, `_smear`), so a caller may fill the draws of several
+    Generators into one buffer and run the arithmetic once over all of
+    them, as :func:`pseudo_experiments` does.  The draws, the arithmetic
+    and the values are the same with `out` and without it."""
 
     _LOW = {}
 
@@ -63,17 +62,44 @@ class _Model:
 
 
 @dataclass(frozen=True)
-class CauchyTruth(_Model):
+class _Truth(_Model):
+    """A truth model: `_fill` draws n uniform values in [0, 1) (or n
+    N(0, 1) values), `_transform` maps them to the distribution in place."""
+
+    def sample(self, rng, n, out=None):
+        return self._transform(self._fill(rng, n, out=out))
+
+    def _fill(self, rng, n, out=None):
+        return rng.random(n, out=out)
+
+
+@dataclass(frozen=True)
+class _Smearing(_Model):
+    """A smearing model: `_fill` draws one N(0, 1) value per value smeared,
+    or none when the model leaves the values as they are; ``_smear(x, z,
+    work)`` turns those draws `z` into the smeared values of `x` in place,
+    using `work`, a buffer of x's size, for its own terms."""
+
+    def apply(self, rng, x, out=None):
+        return self._smear(x, self._fill(rng, x.size, out), np.empty(x.size))
+
+    def _fill(self, rng, n, out=None):
+        if self._identity:
+            return np.empty(n) if out is None else out
+        return rng.standard_normal(n, out=out)
+
+
+@dataclass(frozen=True)
+class CauchyTruth(_Truth):
     """Cauchy distribution; heavy tails, no moments."""
 
     location: float = 0.0
     scale: float = 1.0
     _LOW = {"scale": (0.0, True)}
 
-    def sample(self, rng, n, out=None):
+    def _transform(self, u):
         # in place, same operations in the same order as
         # location + scale * tan(pi * (u - 0.5))
-        u = rng.random(n, out=out)
         u -= 0.5
         u *= np.pi
         np.tan(u, out=u)
@@ -86,36 +112,52 @@ class CauchyTruth(_Model):
 
 
 @dataclass(frozen=True)
-class GaussianTruth(_Model):
+class GaussianTruth(_Truth):
     mean: float = 0.0
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, True)}
 
-    def sample(self, rng, n, out=None):
-        x = rng.normal(self.mean, self.sigma, n)
-        return x if out is None else _copy(x, out)
+    def _fill(self, rng, n, out=None):
+        return rng.standard_normal(n, out=out)
+
+    def _transform(self, z):
+        # Generator.normal(mean, sigma)'s mean + sigma * z, in place
+        z *= self.sigma
+        z += self.mean
+        return z
 
     def cdf(self, x):
         return _gauss_cdf((np.asarray(x) - self.mean) / self.sigma)
 
 
 @dataclass(frozen=True)
-class PowerlawTruth(_Model):
+class PowerlawTruth(_Truth):
     """Falling energy spectrum: power-law tail with a soft core.
 
     Density ``(n-1)/(n*T) * (1 + E/(n*T))**(-n)`` on E >= 0 with
     ``n = exponent`` and ``T = scale_energy``; the tail falls like E**(-n)
-    and the analytic inverse CDF makes sampling exact.
+    and the analytic inverse CDF makes sampling exact.  An exponent so
+    close to 1 that the largest draw, ``n*T * ((2**-53) ** (-1/(n-1)) -
+    1)`` at the largest uniform draw ``1 - 2**-53``, is not finite (1.01
+    is) is refused: such a sample would hold infinite energies.
     """
 
     exponent: float = 3.0
     scale_energy: float = 1.0
     _LOW = {"exponent": (1.0, True), "scale_energy": (0.0, True)}
 
-    def sample(self, rng, n, out=None):
+    def __post_init__(self):
+        super().__post_init__()
+        with np.errstate(over="ignore", invalid="ignore"):
+            largest = float(self._transform(np.array([1.0 - 2.0**-53]))[0])
+        if not math.isfinite(largest):
+            raise ParameterError(
+                f"exponent {self.exponent!r} with scale_energy {self.scale_energy!r} "
+                f"makes the largest draw {largest!r}; it must be finite", "exponent")
+
+    def _transform(self, u):
         # in place, same operations in the same order as
         # nt * ((1 - u) ** (-1 / (n - 1)) - 1)
-        u = rng.random(n, out=out)
         nt = self.exponent * self.scale_energy
         np.subtract(1.0, u, out=u)
         u **= -1.0 / (self.exponent - 1.0)
@@ -131,19 +173,25 @@ class PowerlawTruth(_Model):
 
 
 @dataclass(frozen=True)
-class GaussianSmearing(_Model):
+class GaussianSmearing(_Smearing):
     """Additive Gaussian noise: y = x + N(0, sigma)."""
 
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, False)}
 
-    def apply(self, rng, x, out=None):
-        if self.sigma == 0:
-            return _copy(x, out)
-        # normal(0, sigma), not sigma * standard_normal: 0.0 + sigma * z
-        # and sigma * z can differ in the sign of zero
-        y = rng.normal(0.0, self.sigma, x.size)
-        return np.add(y, x, out=y if out is None else out)
+    @property
+    def _identity(self):
+        return self.sigma == 0
+
+    def _smear(self, x, z, work):
+        if self._identity:
+            z[...] = x
+            return z
+        # in place, Generator.normal(0, sigma)'s 0.0 + sigma * z, then + x
+        # (0.0 + sigma * z and sigma * z can differ in the sign of zero)
+        z *= self.sigma
+        z += 0.0
+        return np.add(z, x, out=z)
 
     def kernel(self):
         """Vectorized response density rho(y | x)."""
@@ -151,36 +199,45 @@ class GaussianSmearing(_Model):
 
 
 @dataclass(frozen=True)
-class CalorimeterSmearing(_Model):
+class CalorimeterSmearing(_Smearing):
     """Relative Gaussian energy resolution, truncated at zero.
 
     ``y = x * (1 + N(0, 1) * sqrt(a^2/x + b^2))`` clipped to y >= 0, the
     usual stochastic-plus-constant parameterization of a hadron calorimeter
-    (a in sqrt(energy) units, b dimensionless).
+    (a in sqrt(energy) units, b dimensionless).  A value that is not
+    positive (zero, negative or NaN) is kept as it is, then clipped.
     """
 
     stochastic_a: float = 1.15
     constant_b: float = 0.055
     _LOW = {"stochastic_a": (0.0, False), "constant_b": (0.0, False)}
 
-    def apply(self, rng, x, out=None):
+    @property
+    def _identity(self):
+        return self.stochastic_a == 0 and self.constant_b == 0
+
+    def _smear(self, x, z, work):
+        if self._identity:
+            z[...] = x
+            return z
         a, b = self.stochastic_a, self.constant_b
-        if a == 0 and b == 0:
-            return _copy(x, out)
-        # in place, same operations in the same order as
-        # rel = sqrt(where(x > 0, a^2 / x, 0) + b^2);
-        # maximum(where(x > 0, x * (1 + rel * z), x), 0)
-        positive = x > 0
-        rel = np.zeros(x.shape)
-        np.divide(a * a, x, out=rel, where=positive)
-        rel += b * b
-        np.sqrt(rel, out=rel)
-        y = rng.standard_normal(x.size, out=out)
-        y *= rel
-        y += 1.0
-        y *= x
-        np.copyto(y, x, where=~positive)
-        return np.maximum(y, 0.0, out=y)
+        # in place, the resolution term in `work`: same operations in the
+        # same order as rel = sqrt(where(x > 0, a^2 / x, 0) + b^2);
+        # maximum(where(x > 0, x * (1 + rel * z), x), 0).  A value that is
+        # not positive divides by zero, overflows (a negative subnormal) or
+        # takes a root of a negative term here, silently, and is copied
+        # over below; a positive one overflows to the same infinity as the
+        # masked expression, also silently.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(a * a, x, out=work)
+            work += b * b
+            np.sqrt(work, out=work)
+            z *= work
+            z += 1.0
+            z *= x
+        if x.size and not x.min() > 0:  # a zero, a negative value or a NaN
+            np.copyto(z, x, where=~(x > 0))
+        return np.maximum(z, 0.0, out=z)
 
 
 _TRUTH_TYPES = {"cauchy": CauchyTruth, "gaussian": GaussianTruth,
@@ -306,26 +363,54 @@ class GenerateResult:
     meas_overflow: int
 
 
-def _draws(sc: Scenario, rng, x, out):
-    """Fill `x` with truth draws, then yield each `_PAIR_BLOCK` slice of it
-    with its smeared values, written into the start of `out`: the caller's
-    buffer of one block (or of `x`, if smaller), overwritten by the next
-    block.  A numpy Generator fills n values as n successive draws, so this
-    is the stream of one `truth.sample` and one `smearing.apply` call on
-    all of `x`, and only `x` grows with it.  A contiguous `x` (it may be a
-    view into a longer buffer that the caller reuses) is drawn into in
-    place; a strided one, a column of the pairs, takes each block of truth
-    draws through `out`."""
-    blocks = [slice(start, min(start + _PAIR_BLOCK, x.size))
-              for start in range(0, x.size, _PAIR_BLOCK)]
-    for b in blocks:
-        m = b.stop - b.start
-        if x.flags.c_contiguous:
-            sc.truth.sample(rng, m, out=x[b])
-        else:
-            x[b] = sc.truth.sample(rng, m, out=out[:m])
-    for b in blocks:
-        yield b, sc.smearing.apply(rng, x[b], out=out[:b.stop - b.start])
+def _draws(sc: Scenario, streams, x, y, work):
+    """Draw the samples of `streams`, a list of ``(rng, n)``, into
+    consecutive segments of `x`, and yield ``(i, s, v)``: a slice s of
+    stream i's segment and its smeared values v, written into `y`, which
+    the next yield may overwrite.  `y` and `work`, the smearing's work
+    buffer, are the caller's contiguous buffers of the same size.
+
+    One stream is drawn in blocks of `_PAIR_BLOCK` values (`y` holds at
+    least one block, or the whole sample if smaller): first all its truth
+    draws, then each block's smearing draws and arithmetic, so only `x`
+    grows with the sample.  A contiguous `x` (it may be the start of a
+    longer buffer that the caller reuses) is drawn into in place; a strided
+    one, a column of the pairs, takes each block of truth draws through
+    `y`.  Several streams, whose sizes sum to at most ``y.size``, are one
+    batch with `x` contiguous: each Generator fills its segment of `x` with
+    its truth draws, the truth arithmetic runs once over the batch, each
+    fills its segment of `y` with its smearing draws, and the smearing
+    arithmetic runs once; s is then the stream's whole segment.  Either
+    way each Generator makes, in order, the draws of one ``truth.sample``
+    and one ``smearing.apply`` call on its n values (a numpy Generator
+    fills n values as n successive draws), so the values are those of
+    `generate` from that Generator."""
+    if len(streams) == 1:
+        (rng, n), = streams
+        blocks = [slice(start, min(start + _PAIR_BLOCK, n))
+                  for start in range(0, n, _PAIR_BLOCK)]
+        for b in blocks:
+            m = b.stop - b.start
+            if x.flags.c_contiguous:
+                sc.truth.sample(rng, m, out=x[b])
+            else:
+                x[b] = sc.truth.sample(rng, m, out=y[:m])
+        for b in blocks:
+            m = b.stop - b.start
+            z = sc.smearing._fill(rng, m, out=y[:m])
+            yield 0, b, sc.smearing._smear(x[b], z, work[:m])
+        return
+    ends = np.cumsum([n for _, n in streams]).tolist()
+    segments = [slice(stop - n, stop) for (_, n), stop in zip(streams, ends)]
+    for (rng, n), s in zip(streams, segments):
+        sc.truth._fill(rng, n, out=x[s])
+    batch = slice(0, ends[-1])
+    sc.truth._transform(x[batch])
+    for (rng, n), s in zip(streams, segments):
+        sc.smearing._fill(rng, n, out=y[s])
+    sc.smearing._smear(x[batch], y[batch], work[batch])
+    for i, s in enumerate(segments):
+        yield i, s, y[s]
 
 
 def _tally(v, keys, ends):
@@ -345,9 +430,10 @@ def _tally(v, keys, ends):
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
     true_axis, meas_axis = sc.true_axis, sc.meas_axis
     pairs = np.empty((n_entries, 2))
+    out, work = (np.empty(min(n_entries, _PAIR_BLOCK)) for _ in range(2))
     true_keys, meas_keys = (_closed_edges(a.edges, np.nan) for a in (true_axis, meas_axis))
     tc, mc = (np.zeros(k.size, dtype=np.intp) for k in (true_keys, meas_keys))
-    for b, y in _draws(sc, rng, pairs[:, 0], np.empty(min(n_entries, _PAIR_BLOCK))):
+    for _, b, y in _draws(sc, [(rng, n_entries)], pairs[:, 0], out, work):
         pairs[b, 1] = y
         _tally(y, meas_keys, mc)
         y[...] = pairs[b, 0]  # the block buffer again, for a sortable copy of the truth
@@ -380,6 +466,24 @@ def _worker_count(workers, n_experiments):
     return max(1, min(int(workers), n_experiments, os.cpu_count() or 1))
 
 
+def _batches(sc: Scenario, seeds, share, poisson_total, capacity):
+    """The experiments k of `share` as ``(k, rng, n)``, rng experiment k's
+    Generator after the draw of its size n, in lists of consecutive
+    experiments whose sizes sum to at most `capacity`; one larger
+    experiment is a list of its own."""
+    batch, total = [], 0
+    for k in share:
+        rng = np.random.default_rng(seeds[k])
+        n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
+        if batch and total + n > capacity:
+            yield batch
+            batch, total = [], 0
+        batch.append((k, rng, n))
+        total += n
+    if batch:
+        yield batch
+
+
 def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
                        policy: StoppingPolicy, poisson_total=True,
                        workers=1, seeds=None) -> EnsembleStats:
@@ -401,11 +505,18 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     Experiment k's counts are row k of one ``(n_experiments, nbins)``
     matrix, and `workers` threads fill it (clamped to the number of
     experiments and of CPUs): worker w takes the experiments
-    ``w, w + workers, w + 2 * workers, ...`` as one task.  It draws each
-    into two buffers of its own, made once and reused: the truth draws,
-    grown to its largest sample, and one block of smeared values.  The
-    models fill both in place.  A row depends only on its seed, not on
-    which worker drew it or what that worker drew before, so results are
+    ``w, w + workers, w + 2 * workers, ...`` as one task.  It draws
+    consecutive experiments of its share whose sizes sum to at most
+    ``_BATCH_BLOCKS * _PAIR_BLOCK`` values as one batch (see `_draws`): the
+    models' arithmetic runs once per batch rather than once per experiment,
+    so a worker makes far fewer numpy calls, each of which lets the other
+    worker take the interpreter lock.  An experiment larger than a batch
+    is drawn alone, in blocks.  The worker's three buffers (truth draws,
+    smeared values, the smearing's work) are made once and reused: a batch
+    each where two experiments of the scenario's `entries` fit one, else
+    one block each, the truth buffer grown to the largest sample.  A row
+    depends only on its seed, not on which worker drew it, what that worker
+    drew before or which experiments share its batch, so results are
     bit-identical for any worker count.
     """
     # imported here: concurrent.futures costs a fresh interpreter ~20 ms
@@ -422,20 +533,24 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     keys = _closed_edges(sc.meas_axis.edges, np.nan)
     g_matrix = np.empty((n_experiments, sc.meas_axis.nbins))
 
+    # a batch where two experiments fit one, else one block for the blocks
+    # of each: the buffers follow the scenario's size, not the ensemble's
+    capacity = _BATCH_BLOCKS * _PAIR_BLOCK
+    size = capacity if 2 * sc.entries <= capacity else _PAIR_BLOCK
+
     def measure(share):
         # the draws of generate(); only the measured side is binned
-        x, out = np.empty(0), np.empty(_PAIR_BLOCK)
-        ends = np.empty(keys.size, dtype=np.intp)
-        for k in share:
-            rng = np.random.default_rng(seeds[k])
-            n = int(rng.poisson(sc.entries)) if poisson_total else sc.entries
-            if n > x.size:
+        x, y, work = (np.empty(size) for _ in range(3))
+        for batch in _batches(sc, seeds, share, poisson_total, size):
+            total = sum(n for _, _, n in batch)
+            if total > x.size:
                 del x  # the old draws go before the larger buffer comes
-                x = np.empty(n)
-            ends[:] = 0
-            for _, y in _draws(sc, rng, x[:n], out):
-                _tally(y, keys, ends)
-            g_matrix[k] = np.diff(ends[:-1])  # the bins; below and above dropped
+                x = np.empty(total)
+            ends = np.zeros((len(batch), keys.size), dtype=np.intp)
+            for i, _, v in _draws(sc, [(rng, n) for _, rng, n in batch], x, y, work):
+                _tally(v, keys, ends[i])
+            # the bins; below and above dropped
+            g_matrix[[k for k, _, _ in batch]] = np.diff(ends[:, :-1])
 
     n_workers = _worker_count(workers, n_experiments)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

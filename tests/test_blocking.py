@@ -91,8 +91,8 @@ class TestGenerate:
                 meas_axis=uf.Axis.uniform(-1.0, 4.0, 9), rebin=rebin))
 
     def test_peak_is_the_pairs_and_one_block(self):
-        # beside the pairs: the block buffer, and the calorimeter's
-        # resolution term and masks, 2.25 blocks of float64 in all
+        # beside the pairs: the block buffer and the calorimeter's work
+        # block, 2 blocks of float64 in all
         sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
                          smearing=uf.CalorimeterSmearing(1.15, 0.055),
                          entries=500_000, seed=3, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
@@ -149,8 +149,9 @@ class TestTally:
             assert np.array_equal(np.diff(ends, prepend=0), want)
 
 
-def ensemble_bits(sc, R, **kwargs):
-    ens = uf.pseudo_experiments(sc, 5, R, uf.StoppingPolicy.fixed(3), **kwargs)
+def ensemble_bits(sc, R, policy=uf.StoppingPolicy.fixed(3), seeds=None, **kwargs):
+    ens = uf.pseudo_experiments(sc, 5 if seeds is None else len(seeds), R, policy,
+                                seeds=seeds, **kwargs)
     return ens.order, bits(ens.mean), bits(ens.covariance)
 
 
@@ -215,8 +216,8 @@ class TestPseudoExperiments:
 
     def test_peak_is_the_truth_draws_and_one_block_per_worker(self):
         # one side of a sample is 8 MB; beside it, each worker holds its
-        # smeared block and the calorimeter's resolution term and masks,
-        # 2.25 blocks of float64 in all
+        # smeared block and the calorimeter's work block, 2 blocks of
+        # float64 in all (an experiment too large for a batch)
         sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
                          smearing=uf.CalorimeterSmearing(1.15, 0.055),
                          entries=10**6, seed=5, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
@@ -241,6 +242,63 @@ class TestPseudoExperiments:
                  for n in (2, 16)}
         row = 8 * sc.meas_axis.nbins
         assert peaks[16] <= peaks[2] + 2 * 14 * row + 8 * 4 * math.sqrt(sc.entries)
+
+
+def generate_moments(sc, R, policy, seeds):
+    """The ensemble of `seeds` with fixed totals, from generate()'s measured
+    contents."""
+    g = np.vstack([uf.generate(replace(sc, seed=s)).measured.contents for s in seeds])
+    d = g - g.mean(axis=0)
+    out = uf.run(R, uf.Histogram(sc.meas_axis, g.mean(axis=0), kind="counts"), policy,
+                 covariance=np.einsum("ki,kj->ij", d, d) / (len(seeds) - 1))
+    return out.stopped_at, bits(out.state.f_n), bits(out.state.covariance)
+
+
+class TestBatches:
+    """A worker draws consecutive experiments that fit simulate._BATCH_BLOCKS
+    blocks together as one batch, and one larger alone in blocks; the
+    moments are the same bits at any block size and worker count."""
+
+    SEEDS = [90, 3, 57, 3, 12, 1000, 8, 3, 41]
+
+    @pytest.mark.parametrize("poisson_total", [True, False])
+    @pytest.mark.parametrize("block, entries", [
+        (7, 1), (7, 3), (7, 7), (7, 14), (7, 15), (7, 40),
+        (64, 1), (64, 20), (64, 43), (64, 64), (64, 128), (64, 129), (64, 300)])
+    def test_same_moments_as_unpatched(self, block, entries, poisson_total):
+        # batches of several experiments (entries of 1 draw totals of 0),
+        # batches filled to the capacity (two fixed totals of `block`),
+        # experiments alone in one block or in several; seeds out of order
+        # and repeated, shares of 3, 3 and 3 (3 threads on any host)
+        smearing = (uf.CalorimeterSmearing(1.15, 0.055) if entries % 2
+                    else uf.GaussianSmearing(0.7))
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0), smearing=smearing,
+                         entries=entries, seed=2, meas_axis=uf.Axis.uniform(-1.0, 6.0, 14))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(14) * 0.9)
+        policy = uf.StoppingPolicy.fixed(3)
+        run = lambda workers: ensemble_bits(sc, R, policy, poisson_total=poisson_total,
+                                            workers=workers, seeds=self.SEEDS)
+        whole = run(1)
+        if not poisson_total:
+            assert whole == generate_moments(sc, R, policy, self.SEEDS)
+        with mock.patch.object(simulate, "_PAIR_BLOCK", block), \
+                mock.patch.object(simulate.os, "cpu_count", return_value=3):
+            for workers in (1, 2, 3):
+                assert run(workers) == whole
+
+    def test_one_smearing_pass_per_batch(self):
+        # 16 experiments of about 20,000 draws: three to a batch of 65,536
+        # values, so five batches and the one left over
+        sc = uf.Scenario(truth=uf.PowerlawTruth(3.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=20_000, seed=9, meas_axis=uf.Axis.uniform(0.0, 24.0, 48))
+        R = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(48))
+        smear = uf.CalorimeterSmearing._smear
+        with mock.patch.object(uf.CalorimeterSmearing, "_smear", autospec=True,
+                               side_effect=smear) as passes:
+            uf.pseudo_experiments(sc, 16, R, uf.StoppingPolicy.fixed(2), workers=1)
+        assert simulate._BATCH_BLOCKS * B == 65_536
+        assert passes.call_count <= 6
 
 
 def jittered(lo, hi, n, seed):

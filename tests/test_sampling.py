@@ -62,6 +62,41 @@ def test_calorimeter_apply_matches_expression(seed, a, b):
     assert rng_a.random() == rng_b.random()
 
 
+def calorimeter_reference(a, b, x, z):
+    """The calorimeter smearing as masked operations: the resolution term
+    divided only where x > 0, and the values that are not positive copied
+    back."""
+    positive = x > 0
+    rel = np.zeros(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal or huge x > 0
+        np.divide(a * a, x, out=rel, where=positive)
+        rel += b * b
+        np.sqrt(rel, out=rel)
+        y = z * rel
+        y += 1.0
+        y *= x
+    np.copyto(y, x, where=~positive)
+    return np.maximum(y, 0.0, out=y)
+
+
+VALUE = st.one_of(st.sampled_from([0.0, -0.0, -5e-324, 5e-324, np.nan, np.inf, -np.inf]),
+                  st.floats())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(VALUE, max_size=40), a=st.sampled_from([0.0, 1.15, 2.0]),
+       b=st.sampled_from([0.0, 0.055, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_calorimeter_apply_is_the_masked_expression(x, a, b, seed):
+    x = np.array(x, dtype=np.float64)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    smearing = uf.CalorimeterSmearing(a, b)
+    got = smearing.apply(rng_a, x)
+    want = x.copy() if a == b == 0 else calorimeter_reference(a, b, x, rng_b.standard_normal(x.size))
+    assert bits(got) == bits(want)
+    assert rng_a.random() == rng_b.random()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gaussian_apply_matches_expression(seed):
     x = uf.CauchyTruth().sample(np.random.default_rng(seed + 1), 5000)

@@ -193,6 +193,44 @@ class TestNonFiniteScenarioParameters:
         assert np.isfinite(uf.generate(sc).pairs).all()
 
 
+class TestPowerlawExponentNearOne:
+    """An exponent so close to 1 that the largest draw, ``n*T *
+    ((2**-53) ** (-1/(n-1)) - 1)``, overflows would put infinite energies
+    in the sample; it is refused by name (ConfigError on the truth, CLI
+    exit 2)."""
+
+    @staticmethod
+    def largest(exponent, scale_energy=1.0):
+        with np.errstate(over="ignore"):
+            return (exponent * scale_energy
+                    * (np.float64(2.0**-53) ** (-1.0 / (exponent - 1.0)) - 1.0))
+
+    @pytest.mark.parametrize("exponent", [1.01, 1.05, 1.0 + 1e-9, 1.0000000000000002])
+    def test_refused_by_name(self, tmp_path, capsys, exponent):
+        assert not np.isfinite(self.largest(exponent))
+        with pytest.raises(uf.ParameterError, match="exponent") as exc:
+            uf.PowerlawTruth(exponent, 1.0)
+        assert exc.value.name == "exponent"
+        truth = {"type": "powerlaw_spectrum", "exponent": exponent, "scale_energy": 1.0}
+        with pytest.raises(uf.ConfigError, match="exponent") as exc:
+            uf.Scenario.from_dict(scenario_dict(truth, GAUSS_SMEARING))
+        assert exc.value.field == "truth"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario_dict(truth, GAUSS_SMEARING)))
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(" (field: truth)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("exponent", [1.06, 1.5, 3.0, 1e6])
+    def test_finite_largest_draw_is_kept(self, exponent):
+        assert np.isfinite(self.largest(exponent))
+        truth = uf.PowerlawTruth(exponent, 2.0)
+        # the largest uniform draw a Generator gives, through sample's arithmetic
+        top = truth._transform(np.array([1.0 - 2.0**-53]))
+        assert np.isfinite(top[0]) and top[0] == self.largest(exponent, 2.0)
+        assert np.all(np.isfinite(truth.sample(np.random.default_rng(0), 10_000)))
+
+
 class TestScenarioRanges:
     """A non-finite extension factor overflowed (inf) or was ignored (NaN),
     and a negative seed failed inside numpy; each is refused when the
