@@ -48,8 +48,8 @@ class _Model:
     fill of the draws (`_fill`) and then in-place arithmetic on them
     (`_transform`, `_smear`), so a caller may fill the draws of several
     Generators into one buffer and run the arithmetic once over all of
-    them, as :func:`pseudo_experiments` does.  The draws, the arithmetic
-    and the values are the same with `out` and without it."""
+    them, as `_draws` does.  The draws, the arithmetic and the values are
+    the same with `out` and without it."""
 
     _LOW = {}
 
@@ -136,10 +136,11 @@ class PowerlawTruth(_Truth):
 
     Density ``(n-1)/(n*T) * (1 + E/(n*T))**(-n)`` on E >= 0 with
     ``n = exponent`` and ``T = scale_energy``; the tail falls like E**(-n)
-    and the analytic inverse CDF makes sampling exact.  An exponent so
-    close to 1 that the largest draw, ``n*T * ((2**-53) ** (-1/(n-1)) -
-    1)`` at the largest uniform draw ``1 - 2**-53``, is not finite (1.01
-    is) is refused: such a sample would hold infinite energies.
+    and the analytic inverse CDF makes sampling exact.  Parameters whose
+    largest draw, ``n*T * ((2**-53) ** (-1/(n-1)) - 1)`` at the largest
+    uniform draw ``1 - 2**-53``, is not finite are refused (such a sample
+    would hold infinite energies), naming `exponent` when the power term
+    alone is not finite (1.01), else `scale_energy` (3.0 with 1e307).
     """
 
     exponent: float = 3.0
@@ -149,11 +150,13 @@ class PowerlawTruth(_Truth):
     def __post_init__(self):
         super().__post_init__()
         with np.errstate(over="ignore", invalid="ignore"):
+            power = np.float64(2.0**-53) ** (-1.0 / (self.exponent - 1.0)) - 1.0
             largest = float(self._transform(np.array([1.0 - 2.0**-53]))[0])
         if not math.isfinite(largest):
             raise ParameterError(
                 f"exponent {self.exponent!r} with scale_energy {self.scale_energy!r} "
-                f"makes the largest draw {largest!r}; it must be finite", "exponent")
+                f"makes the largest draw {largest!r}; it must be finite",
+                "exponent" if not np.isfinite(power) else "scale_energy")
 
     def _transform(self, u):
         # in place, same operations in the same order as
@@ -350,8 +353,9 @@ class GenerateResult:
     """Sample of one synthetic measurement.
 
     `pairs` is the (n, 2) array of (true, measured) values feeding
-    migration-matrix estimation; the tallies count samples falling outside
-    the respective axes (they are not binned).
+    migration-matrix estimation, column-major (each column contiguous, as
+    it is drawn); the tallies count samples falling outside the respective
+    axes (they are not binned).
     """
 
     truth_hist: Histogram
@@ -365,52 +369,42 @@ class GenerateResult:
 
 def _draws(sc: Scenario, streams, x, y, work):
     """Draw the samples of `streams`, a list of ``(rng, n)``, into
-    consecutive segments of `x`, and yield ``(i, s, v)``: a slice s of
-    stream i's segment and its smeared values v, written into `y`, which
-    the next yield may overwrite.  `y` and `work`, the smearing's work
-    buffer, are the caller's contiguous buffers of the same size.
+    consecutive segments of `x`, a contiguous buffer (it may be the start of
+    a longer one that the caller reuses), and yield ``(i, s, v)``: a slice s
+    of stream i's segment and its smeared values v, written into `y`, which
+    the next chunk overwrites.  `y` and `work`, the smearing's work buffer,
+    are the caller's contiguous buffers of the same size.
 
-    One stream is drawn in blocks of `_PAIR_BLOCK` values (`y` holds at
-    least one block, or the whole sample if smaller): first all its truth
-    draws, then each block's smearing draws and arithmetic, so only `x`
-    grows with the sample.  A contiguous `x` (it may be the start of a
-    longer buffer that the caller reuses) is drawn into in place; a strided
-    one, a column of the pairs, takes each block of truth draws through
-    `y`.  Several streams, whose sizes sum to at most ``y.size``, are one
-    batch with `x` contiguous: each Generator fills its segment of `x` with
-    its truth draws, the truth arithmetic runs once over the batch, each
-    fills its segment of `y` with its smearing draws, and the smearing
-    arithmetic runs once; s is then the stream's whole segment.  Either
-    way each Generator makes, in order, the draws of one ``truth.sample``
-    and one ``smearing.apply`` call on its n values (a numpy Generator
-    fills n values as n successive draws), so the values are those of
-    `generate` from that Generator."""
-    if len(streams) == 1:
-        (rng, n), = streams
-        blocks = [slice(start, min(start + _PAIR_BLOCK, n))
-                  for start in range(0, n, _PAIR_BLOCK)]
-        for b in blocks:
-            m = b.stop - b.start
-            if x.flags.c_contiguous:
-                sc.truth.sample(rng, m, out=x[b])
-            else:
-                x[b] = sc.truth.sample(rng, m, out=y[:m])
-        for b in blocks:
-            m = b.stop - b.start
-            z = sc.smearing._fill(rng, m, out=y[:m])
-            yield 0, b, sc.smearing._smear(x[b], z, work[:m])
-        return
-    ends = np.cumsum([n for _, n in streams]).tolist()
-    segments = [slice(stop - n, stop) for (_, n), stop in zip(streams, ends)]
-    for (rng, n), s in zip(streams, segments):
-        sc.truth._fill(rng, n, out=x[s])
-    batch = slice(0, ends[-1])
-    sc.truth._transform(x[batch])
-    for (rng, n), s in zip(streams, segments):
-        sc.smearing._fill(rng, n, out=y[s])
-    sc.smearing._smear(x[batch], y[batch], work[batch])
-    for i, s in enumerate(segments):
-        yield i, s, y[s]
+    The segments are drawn in chunks of ``y.size`` values, a stream split
+    where a chunk ends, so only `x` grows with the samples.  First, chunk by
+    chunk, each Generator with a piece in the chunk fills it with its truth
+    draws and the truth arithmetic runs once over the chunk; then, chunk by
+    chunk, each fills its piece of `y` with its smearing draws, the
+    smearing arithmetic runs once, and the chunk's pieces are yielded in
+    order.  So each Generator makes, in order, the draws of one
+    ``truth.sample`` and one ``smearing.apply`` call on its n values (a
+    numpy Generator fills n values as n successive draws), and the values
+    are those of `generate` from that Generator."""
+    size, chunks, stop = y.size, [], 0
+    for i, (rng, n) in enumerate(streams):
+        a, stop = stop, stop + n
+        while a < stop:
+            if a % size == 0:
+                chunks.append([])
+            b = min(stop, a - a % size + size)
+            chunks[-1].append((i, rng, a, b))
+            a = b
+    for c, chunk in enumerate(chunks):
+        for _, rng, a, b in chunk:
+            sc.truth._fill(rng, b - a, out=x[a:b])
+        sc.truth._transform(x[c * size:chunk[-1][3]])
+    for c, chunk in enumerate(chunks):
+        c0, m = c * size, chunk[-1][3] - c * size
+        for _, rng, a, b in chunk:
+            sc.smearing._fill(rng, b - a, out=y[a - c0:b - c0])
+        v = sc.smearing._smear(x[c0:c0 + m], y[:m], work[:m])
+        for i, _, a, b in chunk:
+            yield i, slice(a, b), v[a - c0:b - c0]
 
 
 def _tally(v, keys, ends):
@@ -429,14 +423,14 @@ def _tally(v, keys, ends):
 
 def _generate(sc: Scenario, rng, n_entries) -> GenerateResult:
     true_axis, meas_axis = sc.true_axis, sc.meas_axis
-    pairs = np.empty((n_entries, 2))
+    pairs = np.empty((n_entries, 2), order="F")
     out, work = (np.empty(min(n_entries, _PAIR_BLOCK)) for _ in range(2))
     true_keys, meas_keys = (_closed_edges(a.edges, np.nan) for a in (true_axis, meas_axis))
     tc, mc = (np.zeros(k.size, dtype=np.intp) for k in (true_keys, meas_keys))
     for _, b, y in _draws(sc, [(rng, n_entries)], pairs[:, 0], out, work):
         pairs[b, 1] = y
         _tally(y, meas_keys, mc)
-        y[...] = pairs[b, 0]  # the block buffer again, for a sortable copy of the truth
+        y[...] = pairs[b, 0]  # the chunk buffer again, for a sortable copy of the truth
         _tally(y, true_keys, tc)
     tc, mc = np.diff(tc, prepend=0), np.diff(mc, prepend=0)
     return GenerateResult(Histogram.from_counts(true_axis, tc[1:-1]),
@@ -511,7 +505,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     models' arithmetic runs once per batch rather than once per experiment,
     so a worker makes far fewer numpy calls, each of which lets the other
     worker take the interpreter lock.  An experiment larger than a batch
-    is drawn alone, in blocks.  The worker's three buffers (truth draws,
+    is drawn alone, in chunks.  The worker's three buffers (truth draws,
     smeared values, the smearing's work) are made once and reused: a batch
     each where two experiments of the scenario's `entries` fit one, else
     one block each, the truth buffer grown to the largest sample.  A row
@@ -533,7 +527,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     keys = _closed_edges(sc.meas_axis.edges, np.nan)
     g_matrix = np.empty((n_experiments, sc.meas_axis.nbins))
 
-    # a batch where two experiments fit one, else one block for the blocks
+    # a batch where two experiments fit one, else one block for the chunks
     # of each: the buffers follow the scenario's size, not the ensemble's
     capacity = _BATCH_BLOCKS * _PAIR_BLOCK
     size = capacity if 2 * sc.entries <= capacity else _PAIR_BLOCK

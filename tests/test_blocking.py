@@ -58,7 +58,7 @@ def assert_generate_is_one_shot(sc):
     rng_a, rng_b = np.random.default_rng(sc.seed), np.random.default_rng(sc.seed)
     got = simulate._generate(sc, rng_a, sc.entries)
     truth, measured, pairs, tallies = one_shot(sc, rng_b, sc.entries)
-    assert got.pairs.flags.c_contiguous and bits(got.pairs) == bits(pairs)
+    assert got.pairs.flags.f_contiguous and bits(got.pairs) == bits(pairs)
     for h, want in ((got.truth_hist, truth), (got.measured, measured)):
         assert h.axis == want.axis and h.kind == want.kind
         assert bits(h.contents) == bits(want.contents)
@@ -90,6 +90,27 @@ class TestGenerate:
                 truth=truth, smearing=smearing, entries=n, seed=seed,
                 meas_axis=uf.Axis.uniform(-1.0, 4.0, 9), rebin=rebin))
 
+    def test_pairs_layout_changes_no_response_or_csv(self, tmp_path):
+        # generate gives column-major pairs, read_pairs_csv row-major ones;
+        # either layout counts and writes the same (several count blocks,
+        # one unaccepted pair)
+        sc = uf.Scenario(truth=uf.GaussianTruth(2.0, 1.0),
+                         smearing=uf.CalorimeterSmearing(1.15, 0.055),
+                         entries=300, seed=8, meas_axis=uf.Axis.uniform(0.0, 4.0, 8))
+        f = uf.generate(sc).pairs
+        f[3, 1] = np.nan
+        c = np.ascontiguousarray(f)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous and c.flags.c_contiguous
+        with mock.patch.object(response, "_PAIR_BLOCK", 7):
+            R_f, R_c = (uf.ResponseMatrix.from_pairs(p, sc.true_axis, sc.meas_axis)
+                        for p in (f, c))
+        assert bits(R_f.matrix) == bits(R_c.matrix)
+        uf.write_pairs_csv(tmp_path / "f.csv", f)
+        uf.write_pairs_csv(tmp_path / "c.csv", c)
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        back = uf.read_pairs_csv(tmp_path / "f.csv")
+        assert back.flags.c_contiguous and same_bits(back, c)
+
     def test_peak_is_the_pairs_and_one_block(self):
         # beside the pairs: the block buffer and the calorimeter's work
         # block, 2 blocks of float64 in all
@@ -99,6 +120,43 @@ class TestGenerate:
         uf.generate(replace(sc, entries=1))  # first-call imports, outside the trace
         peak, res = traced_peak(lambda: uf.generate(sc))
         assert peak <= res.pairs.nbytes + 3 * 8 * B
+
+
+class TestDraws:
+    """`_draws` splits the streams' concatenated segments into chunks of
+    the buffer's size; each stream's pieces, put back together, are one
+    ``truth.sample`` and one ``smearing.apply`` from its Generator."""
+
+    @given(truth=st.sampled_from(TRUTHS),
+           smearing=st.sampled_from(SMEARINGS + [uf.GaussianSmearing(0.0),
+                                                 uf.CalorimeterSmearing(0.0, 0.0)]),
+           sizes=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+           chunk=st.integers(1, 16), spare=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_are_sample_then_apply(self, truth, smearing, sizes, chunk, spare,
+                                          seed):
+        sc = uf.Scenario(truth=truth, smearing=smearing, entries=1, seed=seed,
+                         meas_axis=uf.Axis.uniform(0.0, 1.0, 1))
+        rngs = [np.random.default_rng(seed + i) for i in range(len(sizes))]
+        # x longer than the samples, as a worker's reused truth buffer is
+        x, y, work = np.empty(sum(sizes) + spare), np.empty(chunk), np.empty(chunk)
+        pieces = [[] for _ in sizes]
+        for i, s, v in simulate._draws(sc, list(zip(rngs, sizes)), x, y, work):
+            assert v.size == s.stop - s.start and np.shares_memory(v, y)
+            pieces[i].append((s, v.copy()))
+        stops = np.cumsum(sizes).tolist()
+        for i, (rng, n, stop, got) in enumerate(zip(rngs, sizes, stops, pieces)):
+            # consecutive slices covering the stream's segment, no empty one
+            assert all(s.stop > s.start for s, _ in got)
+            assert [k for s, _ in got for k in range(s.start, s.stop)] == \
+                list(range(stop - n, stop))
+            ref = np.random.default_rng(seed + i)
+            want_x = truth.sample(ref, n)
+            want = smearing.apply(ref, want_x)
+            assert bits(x[stop - n:stop]) == bits(want_x)
+            assert bits(np.concatenate([v for _, v in got] + [np.empty(0)])) == bits(want)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def tally_reference(v, edges):

@@ -197,21 +197,28 @@ class TestPowerlawExponentNearOne:
     """An exponent so close to 1 that the largest draw, ``n*T *
     ((2**-53) ** (-1/(n-1)) - 1)``, overflows would put infinite energies
     in the sample; it is refused by name (ConfigError on the truth, CLI
-    exit 2)."""
+    exit 2).  So are parameters whose power term is finite but whose
+    product with n*T is not, naming the scale energy."""
 
     @staticmethod
     def largest(exponent, scale_energy=1.0):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return (exponent * scale_energy
                     * (np.float64(2.0**-53) ** (-1.0 / (exponent - 1.0)) - 1.0))
 
-    @pytest.mark.parametrize("exponent", [1.01, 1.05, 1.0 + 1e-9, 1.0000000000000002])
-    def test_refused_by_name(self, tmp_path, capsys, exponent):
-        assert not np.isfinite(self.largest(exponent))
+    @pytest.mark.parametrize("exponent, scale_energy, name", [
+        (1.01, 1.0, "exponent"), (1.05, 1.0, "exponent"), (1.0 + 1e-9, 1.0, "exponent"),
+        (1.0000000000000002, 1.0, "exponent"),
+        # a finite power term times an overflowing scale (inf), or times an
+        # overflowing n*T when the power term rounds to zero (NaN)
+        (3.0, 1e307, "scale_energy"), (1e200, 1e200, "scale_energy")])
+    def test_refused_by_name(self, tmp_path, capsys, exponent, scale_energy, name):
+        assert not np.isfinite(self.largest(exponent, scale_energy))
         with pytest.raises(uf.ParameterError, match="exponent") as exc:
-            uf.PowerlawTruth(exponent, 1.0)
-        assert exc.value.name == "exponent"
-        truth = {"type": "powerlaw_spectrum", "exponent": exponent, "scale_energy": 1.0}
+            uf.PowerlawTruth(exponent, scale_energy)
+        assert exc.value.name == name
+        truth = {"type": "powerlaw_spectrum", "exponent": exponent,
+                 "scale_energy": scale_energy}
         with pytest.raises(uf.ConfigError, match="exponent") as exc:
             uf.Scenario.from_dict(scenario_dict(truth, GAUSS_SMEARING))
         assert exc.value.field == "truth"
