@@ -8,8 +8,8 @@ Subcommands wire the library together into a file-based pipeline:
   fold       apply a response to a truth histogram
   invert     unregularized least-squares baseline
 
-Exit codes: 0 success, 2 usage or configuration error, 3 inconsistent data,
-4 numerical failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 inconsistent data
+or a path that cannot be read or written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -317,9 +317,9 @@ def main(argv=None) -> int:
             DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UnfoldingError, FileNotFoundError, ValueError, KeyError) as exc:
-        # UnfoldingError covers DimensionError, and a JSONDecodeError is a
-        # ValueError
+    except (UnfoldingError, OSError, ValueError, KeyError) as exc:
+        # UnfoldingError covers DimensionError, OSError a path that cannot
+        # be read or written, and a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-KINDS = ("counts", "mass", "density")
+KINDS = ("counts", "mass")
 
 
 def _save_json(path, d, indent=None):
@@ -175,9 +175,10 @@ class Axis(_ReadOnlyCopies):
             mid = 0.5 * (a + b)
         return np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
 
-    def is_uniform(self, rtol=1e-9) -> bool:
+    def is_uniform(self) -> bool:
+        """Every width equal to the first to a relative 1e-9."""
         w = self.widths
-        return bool(np.all(np.abs(w - w[0]) <= rtol * np.abs(w[0])))
+        return bool(np.all(np.abs(w - w[0]) <= 1e-9 * np.abs(w[0])))
 
     def __eq__(self, other):
         if not isinstance(other, Axis):
@@ -214,15 +215,15 @@ class Histogram(_ReadOnlyCopies):
     ----------
     axis : Axis
     contents : array_like
-        Per-bin content, length ``axis.nbins``.  Interpreted according to
-        `kind`: probability mass per bin (``"mass"``), raw counts
-        (``"counts"``) or content per unit length (``"density"``).
+        Per-bin content, length ``axis.nbins``: probability mass
+        (``"mass"``) or raw counts (``"counts"``), as `kind` says; every
+        operation reads it per bin, so a density has no kind.
     stat_err : array_like or None
         Per-bin standard deviation, non-negative.
     syst_err : array_like or None
         Per-bin systematic error, non-negative.
     kind : str
-        One of ``"counts"``, ``"mass"``, ``"density"``.
+        One of ``"counts"``, ``"mass"``.
     unfolded : bool
         Marks estimates produced by an unfolding step.  Only unfolded
         histograms may carry negative content; measured input must not.
@@ -237,29 +238,27 @@ class Histogram(_ReadOnlyCopies):
     unfolded: bool = False
 
     def __post_init__(self):
-        axis = self.axis if isinstance(self.axis, Axis) else Axis(self.axis)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not isinstance(self.unfolded, (bool, np.bool_)):
             raise ValueError(f"unfolded must be true or false, got {self.unfolded!r}")
         c = _float_array("contents", self.contents)
-        _check_shape("contents", c, axis)
+        _check_shape("contents", c, self.axis)
         if not np.all(np.isfinite(c)):
             raise ValueError("contents must be finite")
         if not self.unfolded and np.any(c < 0):
             raise ValueError("negative content is only allowed on unfolded estimates")
-        object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "contents", _frozen(c))
         for name in ("stat_err", "syst_err"):
-            object.__setattr__(self, name, self._checked_errors(name, axis))
+            object.__setattr__(self, name, self._checked_errors(name))
         object.__setattr__(self, "unfolded", bool(self.unfolded))
 
-    def _checked_errors(self, name, axis):
+    def _checked_errors(self, name):
         err = getattr(self, name)
         if err is None:
             return None
         e = _float_array(name, err)
-        _check_shape(name, e, axis)
+        _check_shape(name, e, self.axis)
         if not np.all(np.isfinite(e)):
             raise ValueError(f"{name} must be finite")
         if np.any(e < 0):
@@ -267,17 +266,17 @@ class Histogram(_ReadOnlyCopies):
         return _frozen(e)
 
     @classmethod
-    def from_counts(cls, axis, counts, zero_bin_sigma=0.0):
+    def from_counts(cls, axis, counts):
         """Histogram of raw event counts with Poisson errors.
 
-        ``stat_err[i]`` is ``sqrt(counts[i])`` for filled bins and
-        `zero_bin_sigma` for empty ones (the error of an empty Poisson bin
-        is unknowable from the data alone, so the floor is configurable).
+        ``stat_err[i]`` is ``sqrt(counts[i])`` for filled bins and 0 for
+        empty ones; pass ``stat_err=`` to the constructor for another
+        error of an empty bin.
         """
         c = np.asarray(counts, dtype=np.float64)
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
-        stat = np.where(c > 0, np.sqrt(c), _real("zero_bin_sigma", zero_bin_sigma, 0.0))
+        stat = np.where(c > 0, np.sqrt(c), 0.0)  # +0.0 for a -0.0 count
         return cls(axis, c, stat_err=stat, kind="counts")
 
     @property

@@ -137,8 +137,7 @@ class ResponseMatrix(_ReadOnlyCopies):
     # --- constructors ------------------------------------------------------
 
     @classmethod
-    def from_kernel(cls, kernel, true_axis, meas_axis,
-                    quad_points=DEFAULT_QUAD_POINTS, k_override=None):
+    def from_kernel(cls, kernel, true_axis, meas_axis, quad_points=DEFAULT_QUAD_POINTS):
         """Discretize an analytic response density ``kernel(y, x)``.
 
         Each true bin is subdivided into `quad_points` midpoint nodes; for
@@ -180,10 +179,10 @@ class ResponseMatrix(_ReadOnlyCopies):
                 "conditional probability density (or quadrature too coarse)")
         if np.any(over):
             matrix[:, over] /= col[over]
-        return cls(true_axis, meas_axis, matrix, k_override=k_override)
+        return cls(true_axis, meas_axis, matrix)
 
     @classmethod
-    def from_pairs(cls, pairs, true_axis, meas_axis, k_override=None):
+    def from_pairs(cls, pairs, true_axis, meas_axis):
         """Estimate the response by counting Monte Carlo (true, measured) pairs.
 
         `pairs` is an (n, 2) array of ``(x_true, y_meas)`` rows; a NaN in the
@@ -210,7 +209,7 @@ class ResponseMatrix(_ReadOnlyCopies):
         over = col > 1.0
         if np.any(over):
             matrix[:, over] /= col[over]
-        return cls(true_axis, meas_axis, matrix, k_override=k_override)
+        return cls(true_axis, meas_axis, matrix)
 
     @property
     def shape(self):

@@ -41,15 +41,13 @@ class _Model:
     stored as an int and any other as a float, so a numpy scalar is written
     to JSON as the number it holds.
 
-    A truth model's ``sample(rng, n, out=None)`` draws n values, and a
-    smearing model's ``apply(rng, x, out=None)`` smears the values `x`.
-    Given `out`, a contiguous float64 array of the result's size, the
-    values are written there and `out` is returned.  Each is one Generator
-    fill of the draws (`_fill`) and then in-place arithmetic on them
-    (`_transform`, `_smear`), so a caller may fill the draws of several
-    Generators into one buffer and run the arithmetic once over all of
-    them, as `_draws` does.  The draws, the arithmetic and the values are
-    the same with `out` and without it."""
+    A truth model's ``sample(rng, n)`` draws n values, and a smearing
+    model's ``apply(rng, x)`` smears the values `x`.  Each is one Generator
+    fill of the draws, ``_fill(rng, out)``, which fills and returns `out`, a
+    contiguous float64 array of as many values, and then in-place
+    arithmetic on them (`_transform`, `_smear`), so a caller may fill the
+    draws of several Generators into one buffer and run the arithmetic once
+    over all of them, as `_draws` does."""
 
     _LOW = {}
 
@@ -63,14 +61,14 @@ class _Model:
 
 @dataclass(frozen=True)
 class _Truth(_Model):
-    """A truth model: `_fill` draws n uniform values in [0, 1) (or n
-    N(0, 1) values), `_transform` maps them to the distribution in place."""
+    """A truth model: `_fill` draws uniform values in [0, 1) (or N(0, 1)
+    values), `_transform` maps them to the distribution in place."""
 
-    def sample(self, rng, n, out=None):
-        return self._transform(self._fill(rng, n, out=out))
+    def sample(self, rng, n):
+        return self._transform(self._fill(rng, np.empty(n)))
 
-    def _fill(self, rng, n, out=None):
-        return rng.random(n, out=out)
+    def _fill(self, rng, out):
+        return rng.random(out=out)
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,11 @@ class _Smearing(_Model):
     work)`` turns those draws `z` into the smeared values of `x` in place,
     using `work`, a buffer of x's size, for its own terms."""
 
-    def apply(self, rng, x, out=None):
-        return self._smear(x, self._fill(rng, x.size, out), np.empty(x.size))
+    def apply(self, rng, x):
+        return self._smear(x, self._fill(rng, np.empty(x.size)), np.empty(x.size))
 
-    def _fill(self, rng, n, out=None):
-        if self._identity:
-            return np.empty(n) if out is None else out
-        return rng.standard_normal(n, out=out)
+    def _fill(self, rng, out):
+        return out if self._identity else rng.standard_normal(out=out)
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,8 @@ class GaussianTruth(_Truth):
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, True)}
 
-    def _fill(self, rng, n, out=None):
-        return rng.standard_normal(n, out=out)
+    def _fill(self, rng, out):
+        return rng.standard_normal(out=out)
 
     def _transform(self, z):
         # Generator.normal(mean, sigma)'s mean + sigma * z, in place
@@ -396,12 +392,12 @@ def _draws(sc: Scenario, streams, x, y, work):
             a = b
     for c, chunk in enumerate(chunks):
         for _, rng, a, b in chunk:
-            sc.truth._fill(rng, b - a, out=x[a:b])
+            sc.truth._fill(rng, x[a:b])
         sc.truth._transform(x[c * size:chunk[-1][3]])
     for c, chunk in enumerate(chunks):
         c0, m = c * size, chunk[-1][3] - c * size
         for _, rng, a, b in chunk:
-            sc.smearing._fill(rng, b - a, out=y[a - c0:b - c0])
+            sc.smearing._fill(rng, y[a - c0:b - c0])
         v = sc.smearing._smear(x[c0:c0 + m], y[:m], work[:m])
         for i, _, a, b in chunk:
             yield i, slice(a, b), v[a - c0:b - c0]

@@ -90,6 +90,39 @@ class TestResponse:
                     "--meas-axis=-10:10:100", "--out", str(tmp_path / "r.json"))
         assert exc.value.code == 2
 
+    def test_kernel_on_a_wider_finer_true_axis(self, sim_dir, tmp_path):
+        out = tmp_path / "R.json"
+        assert run_cli("response", "--kernel", "gauss", "--sigma", "1",
+                       "--meas-axis=-10:10:100", "--true-axis=-15:15:300",
+                       "--out", str(out)) == 0
+        rm = uf.ResponseMatrix.load_json(out)
+        want = uf.ResponseMatrix.from_kernel(uf.GaussianSmearing(1.0).kernel(),
+                                             uf.Axis.uniform(-15, 15, 300),
+                                             uf.Axis.uniform(-10, 10, 100))
+        assert rm.shape == (100, 300)
+        assert rm.matrix.tobytes() == want.matrix.tobytes()
+        assert rm.k_factor == want.k_factor
+        result = tmp_path / "result.json"
+        assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(out), "--stop", "fixed=3",
+                       "--out", str(result)) == 0
+        assert uf.Histogram.load_json(result).nbins == 300
+
+    def test_kernel_without_sigma_exits_2(self, tmp_path, capsys):
+        assert run_cli("response", "--kernel", "gauss", "--meas-axis=-10:10:100",
+                       "--out", str(tmp_path / "R.json")) == 2
+        assert "(field: sigma)" in capsys.readouterr().err
+        assert not (tmp_path / "R.json").exists()
+
+    @pytest.mark.parametrize("axis", ["-10:10", "0:1:0", "1:0:5"])
+    def test_malformed_meas_axis_exits_2(self, tmp_path, capsys, axis):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("response", "--kernel", "gauss", "--sigma", "1",
+                    f"--meas-axis={axis}", "--out", str(tmp_path / "R.json"))
+        assert exc.value.code == 2
+        assert f"expected LOW:HIGH:NBINS, got {axis!r}" in capsys.readouterr().err
+        assert not (tmp_path / "R.json").exists()
+
 
 class TestUnfold:
     def test_full_pipeline_improves_on_measured(self, sim_dir, response_file,
@@ -414,6 +447,46 @@ class TestBadInputFiles:
         files[which].write_text(json.dumps(d))
         assert self.unfold(files["measured"], files["response"], tmp_path) == 3
         assert f"{name} must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["unfold", "fold"])
+    def test_density_kind_exits_3(self, sim_dir, response_file, tmp_path, capsys,
+                                  command):
+        d = json.loads((sim_dir / "measured.json").read_text())
+        d["kind"] = "density"
+        path = tmp_path / "density.json"
+        path.write_text(json.dumps(d))
+        source = (["--measured", str(path), "--stop", "fixed=3"] if command == "unfold"
+                  else ["--truth", str(path)])
+        assert run_cli(command, *source, "--response", str(response_file),
+                       "--out", str(tmp_path / "o.json")) == 3
+        assert "got 'density'" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("case", ["unfold --measured", "response --pairs",
+                                      "unfold --response", "unfold --out",
+                                      "simulate --out"])
+    def test_unreadable_or_unwritable_path_exits_3(self, sim_dir, response_file,
+                                                   tmp_path, capsys, case):
+        # a directory where a file is read or written, or a file where
+        # simulate makes its output directory
+        command, flag = case.split()
+        bad = tmp_path / "bad"
+        if command == "simulate":
+            bad.write_text("")
+        else:
+            bad.mkdir()
+        options = {
+            "unfold": {"--measured": sim_dir / "measured.json", "--response": response_file,
+                       "--stop": "fixed=3", "--out": tmp_path / "o.json"},
+            "response": {"--pairs": sim_dir / "pairs.csv", "--meas-axis": "-10:10:100",
+                         "--out": tmp_path / "o.json"},
+            "simulate": {}}[command]
+        options[flag] = bad
+        argv = [f"{key}={value}" for key, value in options.items()]
+        assert run_cli(command, *(["cauchy-gauss"] if command == "simulate" else []),
+                       *argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o.json").exists()
 
 

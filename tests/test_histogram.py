@@ -41,16 +41,14 @@ class TestAxis:
 
 class TestFromCounts:
     def test_poisson_errors(self):
-        h = uf.Histogram.from_counts(uf.Axis.uniform(0, 3, 3), [4, 9, 0],
-                                     zero_bin_sigma=0.0)
+        h = uf.Histogram.from_counts(uf.Axis.uniform(0, 3, 3), [4, 9, 0])
         np.testing.assert_array_equal(h.contents, [4, 9, 0])
         np.testing.assert_array_equal(h.stat_err, [2, 3, 0])
         assert h.kind == "counts"
 
-    def test_zero_bin_floor(self):
-        h = uf.Histogram.from_counts(uf.Axis.uniform(0, 1, 1), [0],
-                                     zero_bin_sigma=1.0)
-        np.testing.assert_array_equal(h.stat_err, [1.0])
+    def test_negative_zero_count_has_positive_zero_error(self):
+        h = uf.Histogram.from_counts(uf.Axis.uniform(0, 2, 2), [-0.0, 0.0])
+        assert not np.any(np.signbit(h.stat_err))
 
     def test_total_preserved(self):
         rng = np.random.default_rng(3)
@@ -83,6 +81,16 @@ class TestHistogramValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             uf.Histogram(uf.Axis.uniform(0, 1, 1), [1.0], kind="weights")
+
+    def test_density_kind_is_refused(self):
+        # every operation reads contents as per-bin shares; a density would
+        # be folded, unfolded and summed as if it were one
+        ax = uf.Axis.uniform(0, 1, 1)
+        message = r"kind must be one of \('counts', 'mass'\), got 'density'"
+        with pytest.raises(ValueError, match=message):
+            uf.Histogram(ax, [1.0], kind="density")
+        with pytest.raises(ValueError, match=message):
+            uf.Histogram.from_dict({**uf.Histogram(ax, [1.0]).to_dict(), "kind": "density"})
 
     @pytest.mark.parametrize("flag", ["false", "true", "", 0, 1, 0.0, None, [False]])
     def test_unfolded_flag_must_be_a_bool(self, flag):

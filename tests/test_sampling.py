@@ -108,38 +108,6 @@ def test_gaussian_apply_matches_expression(seed):
     assert rng_a.random() == rng_b.random()
 
 
-FINITE, WIDTH = st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)
-TRUTH = st.one_of(st.builds(uf.CauchyTruth, FINITE, WIDTH),
-                  st.builds(uf.GaussianTruth, FINITE, WIDTH),
-                  st.builds(uf.PowerlawTruth, st.floats(1.5, 10.0), WIDTH))
-SMEARING = st.one_of(st.builds(uf.GaussianSmearing, st.floats(0.0, 10.0)),
-                     st.builds(uf.CalorimeterSmearing, st.floats(0.0, 5.0), st.floats(0.0, 1.0)),
-                     st.just(uf.GaussianSmearing(0.0)), st.just(uf.CalorimeterSmearing(0.0, 0.0)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(truth=TRUTH, smearing=SMEARING, n=st.integers(0, 300),
-       seed=st.integers(0, 2**32 - 1), strided=st.booleans())
-def test_out_gives_the_same_bytes_and_next_draw(truth, smearing, n, seed, strided):
-    # `out` is the start of a longer buffer holding stale values, as a
-    # worker's reused buffer does; the smeared values may come from a
-    # column of the pairs, as in generate()
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    buffer = np.full(n + 3, np.nan)
-    out = buffer[:n]
-    x = truth.sample(rng_a, n)
-    got = truth.sample(rng_b, n, out=out)
-    assert got is out and bits(out) == bits(x)
-    y = smearing.apply(rng_a, x)
-    pairs = np.column_stack([x, np.full(n, -1.0)])
-    source = pairs[:, 0] if strided else x.copy()
-    buffer[:] = -7.5
-    got = smearing.apply(rng_b, source, out=out)
-    assert got is out and bits(out) == bits(y)
-    assert bits(source) == bits(x) and bits(buffer[n:]) == bits(np.full(3, -7.5))
-    assert rng_a.random() == rng_b.random()
-
-
 BUNDLED = {name: uf.Scenario.from_dict(json.loads(
     resources.files("unfolder").joinpath("configs", name + ".json").read_text()))
     for name in ("cauchy-gauss", "calorimeter")}

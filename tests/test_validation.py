@@ -449,6 +449,54 @@ class TestOneNumberRule:
         assert exc.value.name == "threshold"
 
 
+def _scenario(**changes):
+    return uf.Scenario(**{"truth": uf.CauchyTruth(), "smearing": uf.GaussianSmearing(1.0),
+                          "entries": 50, "seed": 1, "meas_axis": AXIS, **changes})
+
+
+OTHER_AXIS = uf.Axis.uniform(0.0, 6.0, 3)
+IDENTITY = uf.ResponseMatrix(AXIS, AXIS, np.eye(3))
+MEASURED = uf.Histogram(AXIS, [4.0, 9.0, 1.0], stat_err=[2.0, 3.0, 1.0])
+
+# every refusal of a mismatched axis, shape or length, and of a model outside
+# the scenario's type tables: how to provoke it, the error and its message
+REFUSALS = {
+    "naive_invert-other-axis": (
+        lambda: uf.naive_invert(IDENTITY, uf.Histogram(OTHER_AXIS, [1.0] * 3)),
+        uf.DimensionError, "measured histogram is not on the response's measured axis"),
+    "compute_k-1-d": (
+        lambda: uf.compute_k([1.0, 2.0, 3.0]),
+        uf.DimensionError, r"matrix must be 2-D, got shape \(3,\)"),
+    "from_pairs-3-columns": (
+        lambda: uf.ResponseMatrix.from_pairs(np.ones((4, 3)), AXIS, AXIS),
+        uf.DimensionError, r"pairs must be an \(n, 2\) array, got shape \(4, 3\)"),
+    "pseudo_experiments-other-axis": (
+        lambda: uf.pseudo_experiments(_scenario(), 2, uf.ResponseMatrix(
+            OTHER_AXIS, OTHER_AXIS, np.eye(3)), uf.StoppingPolicy.fixed(1)),
+        uf.DimensionError, "response measured axis does not match the scenario"),
+    "pseudo_experiments-seeds": (
+        lambda: uf.pseudo_experiments(_scenario(), 3, IDENTITY, uf.StoppingPolicy.fixed(1),
+                                      seeds=[1, 2]),
+        ValueError, "seeds length must equal n_experiments"),
+    "covariance_sqrt-2x3": (
+        lambda: uf.covariance_sqrt(np.ones((2, 3))),
+        uf.DecompositionError, r"covariance must be square, got shape \(2, 3\)"),
+    "run-syst-length": (
+        lambda: uf.run(IDENTITY, MEASURED, uf.StoppingPolicy.fixed(1), syst=[1.0, 2.0]),
+        uf.DimensionError, "systematic offset length does not match the measured axis"),
+    "to_dict-smearing-as-truth": (
+        lambda: _scenario(truth=uf.GaussianSmearing(1.0)).to_dict(),
+        ValueError, r"unknown component GaussianSmearing\(sigma=1.0\)"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal(name):
+    provoke, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        provoke()
+
+
 def _state():
     g = uf.Histogram(AXIS, [4.0, 9.0, 1.0], stat_err=[2.0, 3.0, 1.0])
     return uf.init(uf.ResponseMatrix(AXIS, AXIS, np.eye(3)), g)
