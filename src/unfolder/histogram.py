@@ -67,13 +67,15 @@ def _json_object(name, value):
     return value
 
 
-def _float_array(name, values):
-    """`values` as a float64 array.  What numpy does not read as numbers is
-    refused with a ParameterError naming `name`: a JSON object, a string
-    (numeric or not), an array of booleans, a ragged list, and an integer
-    beyond float64's range.  An integer numpy holds as an object (10**20)
-    is read as the number it is; a list mixing numbers and booleans is
-    cast by numpy, as ``[1, True]`` is an integer array."""
+def _float_array(name, values, finite=True):
+    """`values` as a float64 array, not copied if it is one.  This is the
+    one rule for an array of numbers a caller passes, called once where it
+    enters.  What numpy does not read as numbers is refused with a
+    ParameterError naming `name`: a JSON object, a string (numeric or not),
+    an array of booleans, a ragged list, and an integer beyond float64's
+    range; so are NaN and ±inf when `finite`.  An integer numpy holds as an
+    object (10**20) is read as the number it is; a list mixing numbers and
+    booleans is cast by numpy, as ``[1, True]`` is an integer array."""
     try:
         a = np.asarray(values)
         if a.dtype.kind == "O":
@@ -83,9 +85,12 @@ def _float_array(name, values):
         elif a.dtype.kind not in "iuf":
             raise TypeError("got " + {"b": "booleans", "U": "strings"}.get(
                 a.dtype.kind, f"{a.dtype.name} entries"))
-        return a.astype(np.float64, copy=False)
+        a = a.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be an array of numbers ({exc})", name) from None
+    if finite and not np.all(np.isfinite(a)):
+        raise ParameterError(f"{name} must be finite", name)
+    return a
 
 
 def _frozen(values):
@@ -131,8 +136,6 @@ class Axis(_ReadOnlyCopies):
         e = _float_array("edges", self.edges)
         if e.ndim != 1 or e.size < 2:
             raise ValueError(f"need at least two edges, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("edges must be finite")
         with np.errstate(over="ignore"):
             widths = np.diff(e)
         if not np.all(widths > 0):
@@ -244,8 +247,6 @@ class Histogram(_ReadOnlyCopies):
             raise ValueError(f"unfolded must be true or false, got {self.unfolded!r}")
         c = _float_array("contents", self.contents)
         _check_shape("contents", c, self.axis)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("contents must be finite")
         if not self.unfolded and np.any(c < 0):
             raise ValueError("negative content is only allowed on unfolded estimates")
         object.__setattr__(self, "contents", _frozen(c))
@@ -259,8 +260,6 @@ class Histogram(_ReadOnlyCopies):
             return None
         e = _float_array(name, err)
         _check_shape(name, e, self.axis)
-        if not np.all(np.isfinite(e)):
-            raise ValueError(f"{name} must be finite")
         if np.any(e < 0):
             raise ValueError(f"{name} must be non-negative")
         return _frozen(e)
@@ -273,7 +272,7 @@ class Histogram(_ReadOnlyCopies):
         empty ones; pass ``stat_err=`` to the constructor for another
         error of an empty bin.
         """
-        c = np.asarray(counts, dtype=np.float64)
+        c = _float_array("counts", counts)
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         stat = np.where(c > 0, np.sqrt(c), 0.0)  # +0.0 for a -0.0 count

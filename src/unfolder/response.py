@@ -60,11 +60,9 @@ def compute_k(matrix) -> float:
     when the factor exceeds 1e6 times the median column sum of AᵀA, which
     signals a pathologically peaked response.
     """
-    a = np.asarray(matrix, dtype=np.float64)
+    a = _float_array("matrix", matrix)
     if a.ndim != 2:
         raise DimensionError(f"matrix must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     if np.any(a < 0):
         raise ValueError("matrix entries must be non-negative")
     col_sums = (a.T @ a).sum(axis=0)
@@ -110,7 +108,7 @@ class ResponseMatrix(_ReadOnlyCopies):
             raise DimensionError(
                 f"matrix shape {m.shape} does not match ({self.meas_axis.nbins} "
                 f"measured x {self.true_axis.nbins} true) bins")
-        k = compute_k(m)  # refuses non-finite and negative entries
+        k = compute_k(m)  # refuses negative entries
         col_sums = m.sum(axis=0)
         if np.any(col_sums > 1.0 + COLUMN_SUM_TOL):
             worst = int(np.argmax(col_sums))
@@ -194,7 +192,8 @@ class ResponseMatrix(_ReadOnlyCopies):
         one is closed on the right, as in ``np.histogram``; the pairs are
         counted in fixed-size blocks, so the temporaries do not grow with n.
         """
-        p = np.asarray(pairs, dtype=np.float64)
+        # NaN in y marks a lost event, and a non-finite x is off the axis
+        p = _float_array("pairs", pairs, finite=False)
         if p.ndim != 2 or p.shape[1] != 2:
             raise DimensionError(f"pairs must be an (n, 2) array, got shape {p.shape}")
         if p.shape[0] == 0:
@@ -236,15 +235,6 @@ class ResponseMatrix(_ReadOnlyCopies):
         return Histogram(self.meas_axis, contents, stat_err=stat,
                          kind=f.kind, unfolded=f.unfolded)
 
-    def transpose_apply(self, g) -> np.ndarray:
-        """Apply the transposed operator (response with swapped variables)."""
-        v = np.asarray(g, dtype=np.float64)
-        if v.shape[0] != self.meas_axis.nbins:
-            raise DimensionError(
-                f"vector length {v.shape[0]} does not match "
-                f"{self.meas_axis.nbins} measured bins")
-        return self.matrix.T @ v
-
     # --- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -262,7 +252,7 @@ class ResponseMatrix(_ReadOnlyCopies):
         rm = cls(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]), d["matrix"])
         stored = d.get("k_factor")
         if stored is not None:
-            stored = _real("k_override", stored)
+            stored = _real("k_factor", stored)
             if stored > rm.k_factor * (1.0 + 1e-12):
                 object.__setattr__(rm, "k_factor", stored)
         return rm

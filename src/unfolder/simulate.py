@@ -480,12 +480,12 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     """Ensemble of independently re-sampled measurements, unfolded at a
     common order.
 
-    Experiment k uses seed ``sc.seed + k`` (or ``seeds[k]`` when an explicit
-    sequence is given).  The estimate at a fixed order is linear in the
-    counts, ``f_N = B_N g``, so the ensemble's mean and covariance are
-    ``B_N mean(g)`` and ``B_N cov(g) B_Nᵀ``: exactly what one
-    :func:`~unfolder.unfold.run` on the mean counts, with their sample
-    covariance as input covariance, returns.  The stopping policy is
+    Experiment k uses seed ``sc.seed + k`` (or ``seeds[k]``, a whole number
+    >= 0, when an explicit sequence is given).  The estimate at a fixed
+    order is linear in the counts, ``f_N = B_N g``, so the ensemble's mean
+    and covariance are ``B_N mean(g)`` and ``B_N cov(g) B_Nᵀ``: exactly
+    what one :func:`~unfolder.unfold.run` on the mean counts, with their
+    sample covariance as input covariance, returns.  The stopping policy is
     resolved in that run, so the order does not depend on which seed comes
     first, and no experiment is iterated on its own.  With `poisson_total`
     the sample size of each experiment fluctuates as Poisson(entries), a
@@ -516,9 +516,11 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     if R.meas_axis != sc.meas_axis:
         raise DimensionError("response measured axis does not match the scenario")
     if seeds is None:
-        seeds = [sc.seed + k for k in range(n_experiments)]
+        seeds = range(sc.seed, sc.seed + n_experiments)
     elif len(seeds) != n_experiments:
         raise ValueError("seeds length must equal n_experiments")
+    else:
+        seeds = [_whole_number("seeds", s, 0) for s in seeds]
 
     keys = _closed_edges(sc.meas_axis.edges, np.nan)
     g_matrix = np.empty((n_experiments, sc.meas_axis.nbins))

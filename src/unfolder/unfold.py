@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DecompositionError, DimensionError, NumericalFailureError,
                      ParameterError)
-from .histogram import Histogram, _real, _whole_number
+from .histogram import Histogram, _float_array, _real, _whole_number
 from .response import ResponseMatrix
 
 DEFAULT_MAX_ITERATIONS = 10000
@@ -91,7 +91,7 @@ def covariance_sqrt(c) -> np.ndarray:
     eigendecomposition square root when only semidefinite.  The square root
     is not unique; any valid E propagates identically.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = _float_array("covariance", c)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DecompositionError(f"covariance must be square, got shape {c.shape}")
     scale = float(np.abs(c).max(initial=0.0))
@@ -260,14 +260,15 @@ def init(R: ResponseMatrix, g: Histogram, syst=None, covariance=None) -> Iterate
         e0 = np.multiply(bt, g.stat_err, order="C")
     f0 = bt @ g.contents
     m0 = bt @ a
-    delta_f0 = None if syst is None else _image(bt, R, syst)
+    delta_f0 = None if syst is None else _image(bt, R, "syst", syst)
     return IterateState(n=0, f_n=f0, e_n=e0, f0=f0, e0=e0, m0=m0,
                         volumes=R.true_axis.widths, delta_f0=delta_f0)
 
 
-def _image(bt, R: ResponseMatrix, delta_g) -> np.ndarray:
-    """``K⁻¹Aᵀ delta_g`` with ``bt = K⁻¹Aᵀ`` formed as in :func:`init`."""
-    delta_g = np.asarray(delta_g, dtype=np.float64)
+def _image(bt, R: ResponseMatrix, name, delta_g) -> np.ndarray:
+    """``K⁻¹Aᵀ delta_g`` with ``bt = K⁻¹Aᵀ`` formed as in :func:`init`;
+    `name` is the parameter that passed `delta_g`."""
+    delta_g = _float_array(name, delta_g)
     if delta_g.shape != (R.meas_axis.nbins,):
         raise DimensionError("systematic offset length does not match the measured axis")
     return bt @ delta_g
@@ -310,7 +311,7 @@ def syst_bound(s: IterateState, R: ResponseMatrix, delta_g, bin_volume: float) -
     on two unit bins and ``delta_g = (0, 1)`` it reads 0.150 at n = 1
     against a shift of 0.199, and 0.403 at n = 30 against 2.677.
     """
-    norm = l2_density_norm(_image(R.matrix.T / R.k_factor, R, delta_g), s.volumes)
+    norm = l2_density_norm(_image(R.matrix.T / R.k_factor, R, "delta_g", delta_g), s.volumes)
     return _syst(harmonic_number(s.n + 1), norm, bin_volume)
 
 

@@ -231,7 +231,7 @@ def test_07_systematic_bound(smooth_system):
     # full inequality with an injected offset, N <= 200
     width = float(axis.widths[0])
     delta = 0.05 * (rm.matrix @ f_true)
-    shifted = rm.transpose_apply(delta) / rm.k_factor
+    shifted = rm.matrix.T @ delta / rm.k_factor
     state = uf.IterateState(n=0, f_n=shifted, e_n=np.zeros((8, 1)), f0=shifted,
                             e0=np.zeros((8, 1)),
                             m0=rm.matrix.T @ rm.matrix / rm.k_factor,

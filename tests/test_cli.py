@@ -183,7 +183,7 @@ class TestUnfold:
                        "--stop", "fixed=0", "--out", str(out)) == 0
         rm = uf.ResponseMatrix.load_json(response_file)
         g = uf.Histogram.load_json(sim_dir / "measured.json")
-        oracle = rm.transpose_apply(g.contents) / rm.k_factor
+        oracle = rm.matrix.T @ g.contents / rm.k_factor
         np.testing.assert_allclose(uf.Histogram.load_json(out).contents,
                                    oracle, rtol=0, atol=1e-12)
 
@@ -426,7 +426,7 @@ class TestBadInputFiles:
         path = tmp_path / "R.json"
         path.write_text(json.dumps(d))
         assert self.unfold(sim_dir / "measured.json", path, tmp_path) == 3
-        assert "k_override" in capsys.readouterr().err
+        assert "k_factor must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
 

@@ -151,7 +151,7 @@ class TestLoadComputesKOnce:
     def test_non_finite_stored_factor_raises(self, tmp_path, calls, bad):
         _, path = self.stored(tmp_path, lambda k: bad)
         calls.clear()
-        with pytest.raises(ValueError, match="k_override must be a finite number"):
+        with pytest.raises(ValueError, match="k_factor must be a finite number"):
             uf.ResponseMatrix.load_json(path)
         assert len(calls) == 1
 
@@ -192,6 +192,19 @@ class TestFromPairs:
         ax = uf.Axis.uniform(0.0, 1.0, 1)
         rm = uf.ResponseMatrix.from_pairs([(0.5, 0.5), (0.5, np.nan)], ax, ax)
         np.testing.assert_array_equal(rm.matrix, [[0.5]])
+
+    def test_non_finite_true_value_is_off_the_axis(self):
+        # kept on purpose: a row whose x is NaN or infinite is not refused
+        # but ignored, as any x off the true axis is
+        rng = np.random.default_rng(3)
+        ax = uf.Axis.uniform(0.0, 1.0, 4)
+        x = rng.uniform(0.0, 1.0, 200)
+        pairs = np.column_stack([x, x + rng.normal(0.0, 0.1, 200)])
+        bad = [[np.nan, 0.5], [np.inf, 0.5], [-np.inf, 0.5], [np.nan, np.nan], [np.inf, np.inf]]
+        mixed = np.insert(pairs, [0, 50, 120, 199, 200], bad, axis=0)
+        assert mixed.shape == (205, 2)
+        np.testing.assert_array_equal(uf.ResponseMatrix.from_pairs(mixed, ax, ax).matrix,
+                                      uf.ResponseMatrix.from_pairs(pairs, ax, ax).matrix)
 
     def test_agrees_with_kernel_matrix(self):
         # million-pair migration estimate against the quadrature matrix,
@@ -311,28 +324,6 @@ class TestApply:
         rm = uf.ResponseMatrix(ax, ax, np.eye(3))
         with pytest.raises(DimensionError):
             rm.fold(uf.Histogram(uf.Axis.uniform(0, 2, 3), [1.0, 1.0, 1.0]))
-
-    def test_transpose_apply(self):
-        ax = uf.Axis.uniform(0, 1, 2)
-        ident = uf.ResponseMatrix(ax, ax, np.eye(2))
-        np.testing.assert_array_equal(ident.transpose_apply([3.0, 4.0]), [3.0, 4.0])
-        swap = uf.ResponseMatrix(ax, ax, [[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(swap.transpose_apply([1.0, 2.0]), [2.0, 1.0])
-
-    def test_transpose_apply_matches_explicit(self):
-        rng = np.random.default_rng(4)
-        a = random_response_matrix(rng, 4, 5)
-        rm = uf.ResponseMatrix(uf.Axis.uniform(0, 1, 4), uf.Axis.uniform(0, 1, 5), a)
-        g = rng.uniform(0, 1, 5)
-        oracle = np.array([math.fsum(a[i, j] * g[i] for i in range(5))
-                           for j in range(4)])
-        assert np.abs(rm.transpose_apply(g) - oracle).max() < 1e-14
-
-    def test_transpose_apply_length_check(self):
-        ax = uf.Axis.uniform(0, 1, 2)
-        rm = uf.ResponseMatrix(ax, ax, np.eye(2))
-        with pytest.raises(DimensionError):
-            rm.transpose_apply([1.0, 2.0, 3.0])
 
 
 class TestSerialization:

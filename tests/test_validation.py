@@ -104,7 +104,7 @@ class TestResponse:
         # a stored NaN was ignored and an infinite K unfolded to zeros
         d = uf.ResponseMatrix(AXIS, AXIS, np.eye(3) / 3).to_dict()
         d["k_factor"] = bad
-        with pytest.raises(ValueError, match="k_override must be a finite number"):
+        with pytest.raises(ValueError, match="k_factor must be a finite number"):
             uf.ResponseMatrix.from_dict(d)
 
     def test_from_dict_drops_a_smaller_finite_k_factor(self):
@@ -455,11 +455,14 @@ def _scenario(**changes):
 
 
 OTHER_AXIS = uf.Axis.uniform(0.0, 6.0, 3)
+TWO_BINS = uf.Axis.uniform(0.0, 2.0, 2)
 IDENTITY = uf.ResponseMatrix(AXIS, AXIS, np.eye(3))
 MEASURED = uf.Histogram(AXIS, [4.0, 9.0, 1.0], stat_err=[2.0, 3.0, 1.0])
 
-# every refusal of a mismatched axis, shape or length, and of a model outside
-# the scenario's type tables: how to provoke it, the error and its message
+# every refusal of a mismatched axis, shape or length, of an array entry
+# that is not a finite number where no other test reaches it, of a seed that
+# is not a whole number, and of a model outside the scenario's type tables:
+# how to provoke it, the error and its message
 REFUSALS = {
     "naive_invert-other-axis": (
         lambda: uf.naive_invert(IDENTITY, uf.Histogram(OTHER_AXIS, [1.0] * 3)),
@@ -484,6 +487,34 @@ REFUSALS = {
     "run-syst-length": (
         lambda: uf.run(IDENTITY, MEASURED, uf.StoppingPolicy.fixed(1), syst=[1.0, 2.0]),
         uf.DimensionError, "systematic offset length does not match the measured axis"),
+    "from_counts-strings": (
+        lambda: uf.Histogram.from_counts(TWO_BINS, ["4", "9"]),
+        uf.ParameterError, r"counts must be an array of numbers \(got strings\)"),
+    "from_counts-booleans": (
+        lambda: uf.Histogram.from_counts(TWO_BINS, [True, False]),
+        uf.ParameterError, r"counts must be an array of numbers \(got booleans\)"),
+    "from_pairs-strings": (
+        lambda: uf.ResponseMatrix.from_pairs([[0.5, "0.5"], [1.5, "1.5"]], AXIS, AXIS),
+        uf.ParameterError, r"pairs must be an array of numbers \(got strings\)"),
+    "compute_k-strings": (
+        lambda: uf.compute_k([["0.5", "0"], ["0", "0.5"]]),
+        uf.ParameterError, r"matrix must be an array of numbers \(got strings\)"),
+    "init-syst-nan": (
+        lambda: uf.init(IDENTITY, MEASURED, syst=[np.nan, 0.0, 0.0]),
+        uf.ParameterError, "syst must be finite"),
+    "init-covariance-inf": (
+        lambda: uf.init(IDENTITY, MEASURED, covariance=np.diag([np.inf, 1.0, 1.0])),
+        uf.ParameterError, "covariance must be finite"),
+    "init-covariance-nan": (
+        lambda: uf.init(IDENTITY, MEASURED, covariance=np.diag([np.nan, 1.0, 1.0])),
+        uf.ParameterError, "covariance must be finite"),
+    "syst_bound-nan": (
+        lambda: uf.syst_bound(uf.init(IDENTITY, MEASURED), IDENTITY, [np.nan, 0.0, 0.0], 1.0),
+        uf.ParameterError, "delta_g must be finite"),
+    "pseudo_experiments-bool-seed": (
+        lambda: uf.pseudo_experiments(_scenario(), 2, IDENTITY, uf.StoppingPolicy.fixed(1),
+                                      seeds=[True, 2]),
+        uf.ParameterError, "seeds must be a finite integer >= 0, got True"),
     "to_dict-smearing-as-truth": (
         lambda: _scenario(truth=uf.GaussianSmearing(1.0)).to_dict(),
         ValueError, r"unknown component GaussianSmearing\(sigma=1.0\)"),
