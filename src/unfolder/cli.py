@@ -317,9 +317,9 @@ def main(argv=None) -> int:
             DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UnfoldingError, OSError, ValueError, KeyError) as exc:
-        # UnfoldingError covers DimensionError, OSError a path that cannot
-        # be read or written, and a JSONDecodeError is a ValueError
+    except (UnfoldingError, OSError, ValueError) as exc:
+        # UnfoldingError covers DimensionError and a missing field, OSError
+        # a path that cannot be read or written, ValueError a file not JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

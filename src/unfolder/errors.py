@@ -37,8 +37,8 @@ class NumericalFailureError(UnfoldingError):
 
 
 class ParameterError(UnfoldingError, ValueError):
-    """A count, order, factor, JSON object or array of numbers is refused;
-    ``name`` names it."""
+    """A count, order, factor, axis, JSON object or a field missing from
+    one, or an array of numbers is refused; ``name`` names it."""
 
     def __init__(self, message, name):
         super().__init__(message)

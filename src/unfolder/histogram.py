@@ -30,7 +30,10 @@ def _save_json(path, d, indent=None):
 
 
 def _load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path} is not valid JSON ({exc})") from None
 
 
 def _whole_number(name, value, low):
@@ -60,10 +63,16 @@ def _real(name, value, low=-math.inf, strict=False, high=math.inf):
     return float(value)
 
 
-def _json_object(name, value):
-    """`value` if it is a dict; refused with a ParameterError naming `name` otherwise."""
+def _json_object(name, value, *keys):
+    """`value` if it is a dict holding each of `keys`, the one rule for an
+    object read from a file; else a ParameterError naming `name`, or a
+    missing key by its path: alone at the top of a file, else ``name.key``."""
     if not isinstance(value, dict):
         raise ParameterError(f"{name} must be a JSON object, got {type(value).__name__}", name)
+    for key in keys:
+        if key not in value:
+            path = key if name in ("histogram", "response", "scenario") else f"{name}.{key}"
+            raise ParameterError(f"missing field '{path}'", path)
     return value
 
 
@@ -135,14 +144,14 @@ class Axis(_ReadOnlyCopies):
     def __post_init__(self):
         e = _float_array("edges", self.edges)
         if e.ndim != 1 or e.size < 2:
-            raise ValueError(f"need at least two edges, got shape {e.shape}")
+            raise ParameterError(f"need at least two edges, got shape {e.shape}", "edges")
         with np.errstate(over="ignore"):
             widths = np.diff(e)
         if not np.all(widths > 0):
-            raise ValueError("edges must be strictly increasing")
+            raise ParameterError("edges must be strictly increasing", "edges")
         if not np.all(np.isfinite(widths)):
-            raise ValueError("bin widths must be finite: an edge span "
-                             "overflows float64")
+            raise ParameterError("bin widths must be finite: an edge span "
+                                 "overflows float64", "edges")
         object.__setattr__(self, "edges", _frozen(e))
 
     @classmethod
@@ -151,7 +160,7 @@ class Axis(_ReadOnlyCopies):
         low, high = _real("low", low), _real("high", high)
         nbins = _whole_number("nbins", nbins, 1)
         if not math.isfinite(high - low):
-            raise ValueError(f"the span from {low!r} to {high!r} overflows float64")
+            raise ParameterError(f"the span from {low!r} to {high!r} overflows float64", "high")
         return cls(np.linspace(low, high, nbins + 1))
 
     @property
@@ -198,9 +207,9 @@ class Axis(_ReadOnlyCopies):
     def from_dict(cls, d) -> "Axis":
         """Accepts ``{"edges": [...]}`` or the uniform shorthand
         ``{"low": .., "high": .., "nbins": ..}``."""
-        d = _json_object("axis", d)
-        if "edges" in d:
+        if "edges" in _json_object("axis", d):
             return cls(d["edges"])
+        _json_object("axis", d, "low", "high", "nbins")
         return cls.uniform(d["low"], d["high"], d["nbins"])
 
 
@@ -273,6 +282,7 @@ class Histogram(_ReadOnlyCopies):
         error of an empty bin.
         """
         c = _float_array("counts", counts)
+        _check_shape("counts", c, axis)
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         stat = np.where(c > 0, np.sqrt(c), 0.0)  # +0.0 for a -0.0 count
@@ -309,7 +319,7 @@ class Histogram(_ReadOnlyCopies):
 
     @classmethod
     def from_dict(cls, d) -> "Histogram":
-        d = _json_object("histogram", d)
+        d = _json_object("histogram", d, "axis", "contents")
         return cls(Axis.from_dict(d["axis"]), d["contents"], stat_err=d.get("stat_err"),
                    syst_err=d.get("syst_err"), kind=d.get("kind", "mass"),
                    unfolded=d.get("unfolded", False))

@@ -164,8 +164,8 @@ class ResponseMatrix(_ReadOnlyCopies):
             vals = np.asarray(kernel(y_nodes[:, None, :, None],
                                      x_nodes[None, j0:j0 + chunk, None, :]),
                               dtype=np.float64)
-            if np.any(vals < 0):
-                raise InvalidKernelError("kernel returned a negative density")
+            if not (vals >= 0).all():
+                raise InvalidKernelError("kernel returned a negative or NaN density")
             matrix[:, j0:j0 + chunk] = (vals.sum(axis=(2, 3)) * y_weight[:, None]) / quad_points
         # quadrature noise can push a column a hair over 1
         col = matrix.sum(axis=0)
@@ -248,7 +248,7 @@ class ResponseMatrix(_ReadOnlyCopies):
     @classmethod
     def from_dict(cls, d) -> "ResponseMatrix":
         # a stored factor below K, or above it by rounding only, is dropped
-        d = _json_object("response", d)
+        d = _json_object("response", d, "true_axis", "meas_axis", "matrix")
         rm = cls(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]), d["matrix"])
         stored = d.get("k_factor")
         if stored is not None:

@@ -289,51 +289,35 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d) -> "Scenario":
-        def json_object(name, value, field=None):
-            try:
-                return _json_object(name, value)
-            except ParameterError as exc:
-                raise ConfigError(str(exc), field=field) from None
-
-        def need(mapping, key, where=""):
-            if key not in mapping:
-                name = f"{where}.{key}" if where else key
-                raise ConfigError(f"missing configuration field '{name}'", field=name)
-            return mapping[key]
-
-        def build(table, where):
-            entry = json_object(where, need(d, where), field=where)
-            kind = need(entry, "type", where)
-            if not isinstance(kind, str):
-                raise ConfigError(f"{where} type must be a string, got "
-                                  f"{type(kind).__name__}", field=f"{where}.type")
-            if kind not in table:
-                raise ConfigError(
-                    f"unknown {where} type '{kind}' (choices: {sorted(table)})",
-                    field=f"{where}.type")
-            klass = table[kind]
-            try:
-                return klass(**{f.name: need(entry, f.name, where)
-                                for f in fields(klass)})
-            except ParameterError as exc:
-                raise ConfigError(f"bad {where} parameters: {exc}", field=where) from exc
-
-        d = json_object("scenario", d)
-        truth = build(_TRUTH_TYPES, "truth")
-        smearing = build(_SMEARING_TYPES, "smearing")
-        entries, seed = need(d, "entries"), need(d, "seed")
+        # each refusal is a ParameterError; its field is `where` (the model or
+        # axis being read) or a dotted name in it, at the top level its name
+        where = ""
         try:
-            meas_axis = Axis.from_dict(need(d, "meas_axis"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad meas_axis: {exc}", field="meas_axis") from exc
-        try:
+            d = _json_object("scenario", d, "truth", "smearing", "entries", "seed",
+                             "meas_axis")
+            models = []
+            for where, table in (("truth", _TRUTH_TYPES), ("smearing", _SMEARING_TYPES)):
+                kind = _json_object(where, d[where], "type")["type"]
+                if not isinstance(kind, str):
+                    raise ParameterError(f"{where} type must be a string, got "
+                                         f"{type(kind).__name__}", f"{where}.type")
+                if kind not in table:
+                    raise ParameterError(f"unknown {where} type '{kind}' (choices: "
+                                         f"{sorted(table)})", f"{where}.type")
+                names = [f.name for f in fields(table[kind])]
+                entry = _json_object(where, d[where], *names)
+                models.append(table[kind](**{name: entry[name] for name in names}))
+            where = "meas_axis"
+            meas_axis = Axis.from_dict(d["meas_axis"])
+            where = ""
             rebin = _json_object("rebin", d.get("rebin", {}))
-            return cls(truth=truth, smearing=smearing, entries=entries, seed=seed,
-                       meas_axis=meas_axis,
-                       rebin=(rebin.get("extension_factor", 1.0),
-                              rebin.get("refine_factor", 1)))
+            return cls(*models, d["entries"], d["seed"], meas_axis,
+                       (rebin.get("extension_factor", 1.0), rebin.get("refine_factor", 1)))
         except ParameterError as exc:
-            field = f"rebin.{exc.name}" if exc.name.endswith("_factor") else exc.name
+            if where:
+                field = exc.name if exc.name.startswith(f"{where}.") else where
+            else:
+                field = f"rebin.{exc.name}" if exc.name.endswith("_factor") else exc.name
             raise ConfigError(str(exc), field=field) from exc
 
     def save_json(self, path):
@@ -341,7 +325,11 @@ class Scenario:
 
     @classmethod
     def load_json(cls, path) -> "Scenario":
-        return cls.from_dict(_load_json(path))
+        try:
+            d = _load_json(path)
+        except ValueError as exc:  # not valid JSON
+            raise ConfigError(str(exc)) from exc
+        return cls.from_dict(d)
 
 
 @dataclass(frozen=True)

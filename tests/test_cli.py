@@ -380,6 +380,17 @@ class TestNonFiniteScenario:
         assert not (tmp_path / "o" / "measured.json").exists()
 
 
+def test_a_key_error_is_not_swallowed(monkeypatch, tmp_path):
+    # a KeyError is a fault of the program, not a data error to report
+    def broken(args):
+        raise KeyError("axis")
+
+    monkeypatch.setattr(cli, "_cmd_fold", broken)
+    with pytest.raises(KeyError, match="axis"):
+        run_cli("fold", "--truth", "t.json", "--response", "R.json",
+                "--out", str(tmp_path / "o.json"))
+
+
 class TestBadInputFiles:
     def unfold(self, measured, response, tmp_path):
         return run_cli("unfold", "--measured", str(measured),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ class TestFromCounts:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             uf.Histogram.from_counts(uf.Axis.uniform(0, 1, 2), [1, 2, 3])
+
+    @pytest.mark.parametrize("counts", [[[1, 2, 3]], [1, 2], 5])
+    def test_wrong_shape_is_named_counts(self, counts):
+        shape = np.shape(counts)
+        with pytest.raises(DimensionError, match=fr"counts has shape {re.escape(str(shape))}"):
+            uf.Histogram.from_counts(uf.Axis.uniform(0, 3, 3), counts)
 
 
 class TestHistogramValidation:

@@ -180,6 +180,14 @@ class TestFromKernel:
         with pytest.raises(InvalidKernelError):
             uf.ResponseMatrix.from_kernel(lambda y, x: 0.0 * y - 1.0, ax, ax)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_kernel_rejected(self, value):
+        # NaN fails the sign check, +inf the column-mass check
+        ax = uf.Axis.uniform(0, 1, 2)
+        with pytest.raises(InvalidKernelError):
+            uf.ResponseMatrix.from_kernel(lambda y, x: np.where(x > 0.5, value, 0.0 * y),
+                                          ax, ax)
+
 
 class TestFromPairs:
     def test_single_pair(self):

@@ -1,6 +1,7 @@
 """Non-finite values are rejected where they enter the library."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -748,4 +749,99 @@ class TestNumbersOnlyInArrays:
         assert cli.main(["unfold", "--measured", str(measured), "--response", str(response),
                          "--stop", "fixed=3", "--out", str(out)]) == 3
         assert "contents must be an array of numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+H_DICT = uf.Histogram(AXIS, [1.0, 2.0, 0.0], stat_err=[1.0, 1.4, 0.0]).to_dict()
+R_DICT = uf.ResponseMatrix(AXIS, AXIS, np.eye(3)).to_dict()
+UNIFORM = {"low": 0.0, "high": 3.0, "nbins": 3}
+S_DICT = {**scenario_dict(CAUCHY_TRUTH, GAUSS_SMEARING), "meas_axis": UNIFORM}
+LOADERS = {"histogram": uf.Histogram, "response": uf.ResponseMatrix, "scenario": uf.Scenario}
+
+
+def _without(d, path):
+    """A deep copy of `d` without the key at the dotted `path`."""
+    d = json.loads(json.dumps(d))
+    *parents, key = path.split(".")
+    inner = d
+    for parent in parents:
+        inner = inner[parent]
+    del inner[key]
+    return d
+
+
+# (file kind, file, the key dropped by its path, the name refused, and for
+# a scenario the ConfigError's field)
+MISSING = ([("histogram", H_DICT, key, key, None) for key in ("axis", "contents")]
+           + [("response", R_DICT, key, key, None)
+              for key in ("true_axis", "meas_axis", "matrix")]
+           + [("histogram", {**H_DICT, "axis": UNIFORM}, f"axis.{key}", f"axis.{key}", None)
+              for key in ("low", "high", "nbins")]
+           + [("scenario", S_DICT, key, key, key)
+              for key in ("truth", "smearing", "entries", "seed", "meas_axis")]
+           + [("scenario", S_DICT, path, path, path)
+              for path in ("truth.type", "truth.location", "truth.scale", "smearing.type",
+                           "smearing.sigma")]
+           + [("scenario", S_DICT, "meas_axis.nbins", "axis.nbins", "meas_axis")])
+
+
+class TestMissingFields:
+    """A required key missing from a file is refused naming it by its path
+    in the file (a ParameterError, a ConfigError naming the field for a
+    scenario); the CLI exits 3 on a histogram or response, 2 on a scenario,
+    and writes nothing."""
+
+    @pytest.mark.parametrize("kind, d, path, name, field", [
+        pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in MISSING])
+    def test_from_dict(self, kind, d, path, name, field):
+        with pytest.raises(uf.ConfigError if field else uf.ParameterError,
+                           match=f"missing field '{name}'") as exc:
+            LOADERS[kind].from_dict(_without(d, path))
+        assert (exc.value.field if field else exc.value.name) == (field or name)
+
+    @pytest.mark.parametrize("kind, d, path, name, field", [
+        pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in MISSING])
+    def test_cli(self, tmp_path, capsys, kind, d, path, name, field):
+        bad, truth, response = (tmp_path / f for f in ("bad.json", "h.json", "R.json"))
+        bad.write_text(json.dumps(_without(d, path)))
+        truth.write_text(json.dumps(H_DICT))
+        response.write_text(json.dumps(R_DICT))
+        out = tmp_path / "out"
+        argv = {"histogram": ["fold", "--truth", bad, "--response", response, "--out", out],
+                "response": ["fold", "--truth", truth, "--response", bad, "--out", out],
+                "scenario": ["simulate", bad, "--out", out]}[kind]
+        assert cli.main([str(a) for a in argv]) == (2 if field else 3)
+        err = capsys.readouterr().err
+        assert f"missing field '{name}'" in err
+        assert err.endswith(f" (field: {field})\n" if field else "\n")
+        assert not out.exists()
+
+
+class TestNotJson:
+    """A file that is not UTF-8 JSON is refused naming its path: a scenario
+    with a ConfigError (CLI exit 2), a histogram or response with a
+    ValueError (CLI exit 3); nothing is written."""
+
+    @pytest.fixture(params=[b'{"truth": {"type": ', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
+    def path(self, request, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_bytes(request.param)
+        return path
+
+    def test_load_json(self, path):
+        message = re.escape(f"{path} is not valid JSON")
+        with pytest.raises(uf.ConfigError, match=message):
+            uf.Scenario.load_json(path)
+        for cls in (uf.Histogram, uf.ResponseMatrix):
+            with pytest.raises(ValueError, match=message):
+                cls.load_json(path)
+
+    def test_cli(self, tmp_path, capsys, path):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+        assert f"{path} is not valid JSON" in capsys.readouterr().err
+        (tmp_path / "R.json").write_text(json.dumps(R_DICT))
+        assert cli.main(["fold", "--truth", str(path), "--response", str(tmp_path / "R.json"),
+                         "--out", str(out)]) == 3
+        assert f"{path} is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
