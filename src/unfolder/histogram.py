@@ -353,6 +353,14 @@ def _at_most_max_bins(name, nbins):
                              f"the {MAX_BINS} a rebinned axis may have", name)
 
 
+def _derived_axis(name, edges):
+    """``Axis(edges)``, or a refusal naming `name`, the factor that made the edges."""
+    try:
+        return Axis(edges)
+    except ParameterError as exc:
+        raise ParameterError(f"{name} makes an axis that is not valid ({exc})", name) from None
+
+
 def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Axis:
     """True-side axis covering a wider span with finer bins.
 
@@ -377,16 +385,19 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
                                  "axis", "extension_factor")
         # each bin count is checked before its edges are built
         _at_most_max_bins("extension_factor", measured_axis.nbins * extension_factor)
-        span = edges[-1] - edges[0]
-        width = span / measured_axis.nbins
-        n = int(round(span * extension_factor / width))
-        center = 0.5 * (edges[0] + edges[-1])
-        low = center - 0.5 * n * width
-        edges = low + width * np.arange(n + 1)
+        with np.errstate(all="ignore"):  # what float64 cannot hold is refused by name
+            span = edges[-1] - edges[0]
+            width = span / measured_axis.nbins
+            n = span * extension_factor / width
+            if not np.isfinite(n):
+                raise ParameterError(f"extension_factor {extension_factor!r} times the "
+                                     f"span {float(span)!r} overflows float64", "extension_factor")
+            n = int(round(n))
+            center = 0.5 * (edges[0] + edges[-1])
+            low = center - 0.5 * n * width
+            edges = _derived_axis("extension_factor", low + width * np.arange(n + 1)).edges
     if refine_factor == 1:
         return Axis(edges)
     _at_most_max_bins("refine_factor", (edges.size - 1) * refine_factor)
-    pieces = [np.linspace(lo, hi, refine_factor + 1)[:-1]
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    pieces.append(edges[-1:])
-    return Axis(np.concatenate(pieces))
+    inner = np.linspace(edges[:-1], edges[1:], refine_factor, endpoint=False, axis=1)
+    return _derived_axis("refine_factor", np.append(inner, edges[-1]))

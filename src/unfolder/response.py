@@ -42,6 +42,14 @@ _PAIR_BLOCK = 32_768
 _CSV_ROWS = 1_024
 
 
+def _pair_array(pairs):
+    """`pairs` by the array rule, as (n, 2); NaN marks a lost y, ±inf an x off the axis."""
+    p = _float_array("pairs", pairs, finite=False)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise DimensionError(f"pairs must be an (n, 2) array, got shape {p.shape}")
+    return p
+
+
 def _median(v):
     """``np.median(v)``, bit for bit on v >= +0.0, without importing numpy.ma."""
     s, mid = np.sort(v), v.size // 2
@@ -192,10 +200,7 @@ class ResponseMatrix(_ReadOnlyCopies):
         one is closed on the right, as in ``np.histogram``; the pairs are
         counted in fixed-size blocks, so the temporaries do not grow with n.
         """
-        # NaN in y marks a lost event, and a non-finite x is off the axis
-        p = _float_array("pairs", pairs, finite=False)
-        if p.ndim != 2 or p.shape[1] != 2:
-            raise DimensionError(f"pairs must be an (n, 2) array, got shape {p.shape}")
+        p = _pair_array(pairs)
         if p.shape[0] == 0:
             raise ConstructionError("empty pair sample")
         denom, num = _pair_counts(p, true_axis.edges, meas_axis.edges)
@@ -346,7 +351,7 @@ def write_pairs_csv(path, pairs):
     """Two-column CSV of (x, y) pairs; NaN y is written as the MISS token.
     The rows are converted and joined _CSV_ROWS at a time, and each such
     string is written with one call."""
-    p = np.asarray(pairs, dtype=np.float64)
+    p = _pair_array(pairs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
         for start in range(0, p.shape[0], _CSV_ROWS):

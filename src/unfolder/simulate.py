@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,16 +73,26 @@ class _Truth(_Model):
 
 @dataclass(frozen=True)
 class _Smearing(_Model):
-    """A smearing model: `_fill` draws one N(0, 1) value per value smeared,
-    or none when the model leaves the values as they are; ``_smear(x, z,
-    work)`` turns those draws `z` into the smeared values of `x` in place,
-    using `work`, a buffer of x's size, for its own terms."""
+    """A smearing model: `_fill` draws N(0, 1) values and `_smear` runs the
+    subclass's `_noise` on them, with a work buffer of x's size.  A model whose
+    every parameter is 0 (``sigma == 0``; ``stochastic_a == constant_b == 0``)
+    is the identity: `_fill` draws nothing and `_smear` copies `x` bit for bit."""
 
     def apply(self, rng, x):
         return self._smear(x, self._fill(rng, np.empty(x.size)), np.empty(x.size))
 
+    @property
+    def _identity(self):
+        return all(getattr(self, f.name) == 0 for f in fields(self))
+
     def _fill(self, rng, out):
         return out if self._identity else rng.standard_normal(out=out)
+
+    def _smear(self, x, z, work):
+        if self._identity:
+            z[...] = x
+            return z
+        return self._noise(x, z, work)
 
 
 @dataclass(frozen=True)
@@ -178,14 +188,7 @@ class GaussianSmearing(_Smearing):
     sigma: float = 1.0
     _LOW = {"sigma": (0.0, False)}
 
-    @property
-    def _identity(self):
-        return self.sigma == 0
-
-    def _smear(self, x, z, work):
-        if self._identity:
-            z[...] = x
-            return z
+    def _noise(self, x, z, work):
         # in place, Generator.normal(0, sigma)'s 0.0 + sigma * z, then + x
         # (0.0 + sigma * z and sigma * z can differ in the sign of zero)
         z *= self.sigma
@@ -211,14 +214,7 @@ class CalorimeterSmearing(_Smearing):
     constant_b: float = 0.055
     _LOW = {"stochastic_a": (0.0, False), "constant_b": (0.0, False)}
 
-    @property
-    def _identity(self):
-        return self.stochastic_a == 0 and self.constant_b == 0
-
-    def _smear(self, x, z, work):
-        if self._identity:
-            z[...] = x
-            return z
+    def _noise(self, x, z, work):
         a, b = self.stochastic_a, self.constant_b
         # in place, the resolution term in `work`: same operations in the
         # same order as rel = sqrt(where(x > 0, a^2 / x, 0) + b^2);
@@ -245,6 +241,14 @@ _SMEARING_TYPES = {"gaussian_convolution": GaussianSmearing,
                    "calorimeter": CalorimeterSmearing}
 
 
+def _tagged(name, model, table):
+    """``{"type": key, **parameters}``, `key` naming `model`'s class in `table`."""
+    for tag, klass in table.items():
+        if isinstance(model, klass):
+            return {"type": tag, **asdict(model)}
+    raise ParameterError(f"unknown component {model!r}", name)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one synthetic measurement."""
@@ -260,6 +264,10 @@ class Scenario:
         # 20000.0 -> 20000; 2.5, "100" and True are refused, not truncated
         object.__setattr__(self, "entries", _whole_number("entries", self.entries, 1))
         object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
+        _tagged("truth", self.truth, _TRUTH_TYPES)
+        _tagged("smearing", self.smearing, _SMEARING_TYPES)
+        if not isinstance(self.meas_axis, Axis):
+            raise ParameterError(f"meas_axis {self.meas_axis!r} is not an Axis", "meas_axis")
         extension, refine = self.rebin
         rebin_axes(self.meas_axis, extension, refine)  # the one check of the factors
         object.__setattr__(self, "rebin", (float(extension), int(refine)))
@@ -269,17 +277,9 @@ class Scenario:
         return rebin_axes(self.meas_axis, *self.rebin)
 
     def to_dict(self) -> dict:
-        def tagged(obj, table):
-            for name, klass in table.items():
-                if isinstance(obj, klass):
-                    d = {"type": name}
-                    d.update({f.name: getattr(obj, f.name) for f in fields(klass)})
-                    return d
-            raise ValueError(f"unknown component {obj!r}")
-
         return {
-            "truth": tagged(self.truth, _TRUTH_TYPES),
-            "smearing": tagged(self.smearing, _SMEARING_TYPES),
+            "truth": _tagged("truth", self.truth, _TRUTH_TYPES),
+            "smearing": _tagged("smearing", self.smearing, _SMEARING_TYPES),
             "entries": self.entries,
             "seed": self.seed,
             "meas_axis": self.meas_axis.to_dict(),
@@ -481,8 +481,8 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     Poisson variates; otherwise the total is fixed (multinomial bins).
 
     Experiment k's counts are row k of one ``(n_experiments, nbins)``
-    matrix, and `workers` threads fill it (clamped to the number of
-    experiments and of CPUs): worker w takes the experiments
+    matrix, and `workers` threads fill it (a whole number >= 1, clamped to
+    the number of experiments and of CPUs): worker w takes the experiments
     ``w, w + workers, w + 2 * workers, ...`` as one task.  It draws
     consecutive experiments of its share whose sizes sum to at most
     ``_BATCH_BLOCKS * _PAIR_BLOCK`` values as one batch (see `_draws`): the
@@ -501,6 +501,7 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
     from concurrent.futures import ThreadPoolExecutor
     from .unfold import run
     n_experiments = _whole_number("n_experiments", n_experiments, 2)
+    n_workers = _worker_count(_whole_number("workers", workers, 1), n_experiments)
     if R.meas_axis != sc.meas_axis:
         raise DimensionError("response measured axis does not match the scenario")
     if seeds is None:
@@ -532,7 +533,6 @@ def pseudo_experiments(sc: Scenario, n_experiments: int, R: ResponseMatrix,
             # the bins; below and above dropped
             g_matrix[[k for k, _, _ in batch]] = np.diff(ends[:, :-1])
 
-    n_workers = _worker_count(workers, n_experiments)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(measure, [range(w, n_experiments, n_workers)
                                 for w in range(n_workers)]))

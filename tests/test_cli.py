@@ -665,3 +665,32 @@ class TestBadFactors:
         path.write_text("[1, 2]")
         assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o" / "measured.json").exists()
+
+
+class TestOverflowingRebin:
+    """A rebin factor whose derived axis float64 cannot hold is a usage
+    error naming the factor (exit 2), with no warning and nothing written."""
+
+    AXIS = {"low": 1e307, "high": 1.5e308, "nbins": 4}
+
+    def test_simulate_exits_2(self, tmp_path, capsys, recwarn):
+        config = {"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},
+                  "smearing": {"type": "gaussian_convolution", "sigma": 1.0},
+                  "entries": 100, "seed": 1, "meas_axis": self.AXIS,
+                  "rebin": {"extension_factor": 2, "refine_factor": 1}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.endswith(" (field: rebin.extension_factor)\n")
+        assert not (tmp_path / "o").exists()
+        assert len(recwarn) == 0
+
+    def test_unfold_exits_2(self, tmp_path, capsys, recwarn):
+        measured = uf.Histogram.from_counts(uf.Axis.from_dict(self.AXIS), [1.0, 2.0, 3.0, 4.0])
+        measured.save_json(tmp_path / "measured.json")
+        assert run_cli("unfold", "--measured", str(tmp_path / "measured.json"),
+                       "--kernel", "gauss", "--sigma", "1", "--rebin=2,1",
+                       "--stop", "fixed=3", "--out", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err.endswith(" (field: rebin)\n")
+        assert not (tmp_path / "o.json").exists()
+        assert len(recwarn) == 0

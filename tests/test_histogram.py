@@ -1,9 +1,10 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import unfolder as uf
 from unfolder.errors import DimensionError
@@ -224,3 +225,75 @@ class TestSerialization:
         d = json.loads(path.read_text())
         assert "stat_err" not in d and "syst_err" not in d
         assert uf.Histogram.load_json(path).stat_err is None
+
+
+def per_bin_refined_edges(edges, refine):
+    """The refined edges built bin by bin, one linspace per bin.  Its last
+    point, which is dropped, can overflow before it is set to `hi`."""
+    with np.errstate(over="ignore"):
+        pieces = [np.linspace(lo, hi, refine + 1)[:-1]
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate(pieces + [edges[-1:]])
+
+
+EDGE_LISTS = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8, unique=True),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=5,
+             unique=True),
+    # spans a few subnormals wide, where a bin's step can round to zero
+    st.lists(st.integers(-8, 8), min_size=2, max_size=6, unique=True).map(
+        lambda ks: [k * 5e-324 for k in ks]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=EDGE_LISTS, refine=st.integers(2, 9), negative_zero=st.booleans())
+def test_refined_edges_are_the_per_bin_linspace(edges, refine, negative_zero):
+    e = np.sort(np.array(edges, dtype=np.float64))
+    e[e == 0] = -0.0 if negative_zero else 0.0
+    with np.errstate(over="ignore"):
+        assume(np.all(np.isfinite(np.diff(e))))
+    axis = uf.Axis(e)
+    want = per_bin_refined_edges(axis.edges, refine)
+    if np.all(np.diff(want) > 0):
+        assert uf.rebin_axes(axis, 1.0, refine).edges.tobytes() == want.tobytes()
+    else:  # a bin too narrow for `refine` distinct subnormal edges
+        with pytest.raises(uf.ParameterError) as exc:
+            uf.rebin_axes(axis, 1.0, refine)
+        assert exc.value.name == "refine_factor"
+
+
+class TestDerivedAxisRefusals:
+    """An axis that a rebin factor derives but float64 cannot hold is refused
+    as a ParameterError naming that factor, with no warning and no
+    OverflowError."""
+
+    @pytest.mark.parametrize("edges, extension", [
+        (np.linspace(1e307, 1.5e308, 5), 2.0),  # the extended span overflows
+        ([-1e308, 0.0, 1e308], 1.5),           # the measured span overflows
+        ([1e308, 1.5e308], 1.1)])              # the extended edges overflow
+    def test_extension_is_named(self, edges, extension):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(uf.ParameterError) as exc:
+                uf.rebin_axes(uf.Axis(edges), extension, 1)
+        assert exc.value.name == "extension_factor"
+
+    def test_refinement_is_named(self):
+        # 4 subdivisions of a bin one subnormal wide repeat an edge
+        with pytest.raises(uf.ParameterError) as exc:
+            uf.rebin_axes(uf.Axis([0.0, 5e-324, 1e-323]), 1.0, 4)
+        assert exc.value.name == "refine_factor"
+
+    @pytest.mark.parametrize("axis, rebin, field", [
+        ({"low": 1e307, "high": 1.5e308, "nbins": 4},
+         {"extension_factor": 2}, "rebin.extension_factor"),
+        ({"edges": [0, 5e-324, 1e-323]}, {"refine_factor": 4}, "rebin.refine_factor")])
+    def test_scenario_names_the_factor(self, axis, rebin, field):
+        d = {"truth": {"type": "cauchy", "location": 0.0, "scale": 1.0},
+             "smearing": {"type": "gaussian_convolution", "sigma": 1.0},
+             "entries": 100, "seed": 1, "meas_axis": axis, "rebin": rebin}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(uf.ConfigError) as exc:
+                uf.Scenario.from_dict(d)
+        assert exc.value.field == field

@@ -469,3 +469,29 @@ class TestPairsCsvParsing:
             read_pairs_reference(path.read_text())
         with pytest.raises(ValueError):
             uf.read_pairs_csv(path)
+
+
+class TestWritePairsInput:
+    """write_pairs_csv reads its pairs by the array rule and the (n, 2) shape
+    of from_pairs, before the file is opened."""
+
+    @pytest.mark.parametrize("pairs", [[["1", "2"]], [[True, False]], {"x": [1.0, 2.0]},
+                                       [[1.0, 2.0], [3.0]]])
+    def test_non_numbers_are_refused(self, tmp_path, pairs):
+        with pytest.raises(uf.ParameterError, match="pairs must be an array of numbers"):
+            uf.write_pairs_csv(tmp_path / "p.csv", pairs)
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("shape", [(0,), (4,), (2, 3), (2, 1), (1, 2, 2)])
+    def test_wrong_shape_is_refused(self, tmp_path, shape):
+        with pytest.raises(DimensionError, match=r"pairs must be an \(n, 2\) array"):
+            uf.write_pairs_csv(tmp_path / "p.csv", np.zeros(shape))
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_integers_and_column_major_pairs_write_the_same_bytes(self, tmp_path):
+        pairs = np.array([[1.0, 2.0], [-0.0, np.nan], [3.0, 1 / 3]])
+        uf.write_pairs_csv(tmp_path / "c.csv", pairs)
+        uf.write_pairs_csv(tmp_path / "f.csv", np.asfortranarray(pairs))
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        uf.write_pairs_csv(tmp_path / "i.csv", [[1, 2], [3, 4]])
+        assert (tmp_path / "i.csv").read_text() == "x,y\n1.0,2.0\n3.0,4.0\n"

@@ -155,3 +155,27 @@ class TestWorkerCount:
     def test_unknown_cpu_count_means_one(self, monkeypatch):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert simulate._worker_count(10**6, 1000) == 1
+
+
+IDENTITY_INPUT = [-1.0, -0.0, np.nan, np.inf, 2.5]
+
+
+@pytest.mark.parametrize("model", [uf.GaussianSmearing(0.0), uf.GaussianSmearing(-0.0),
+                                   uf.CalorimeterSmearing(0.0, 0.0)])
+def test_identity_smearing_copies_without_drawing(model):
+    # every parameter 0: the values come back bit for bit, as a copy, and
+    # the Generator makes no draw
+    x = np.array(IDENTITY_INPUT)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    got = model.apply(rng, x)
+    assert bits(got) == bits(IDENTITY_INPUT) and not np.shares_memory(got, x)
+    assert rng.bit_generator.state == state
+
+
+def test_calorimeter_with_one_nonzero_parameter_draws():
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    got = uf.CalorimeterSmearing(0.0, 1e-300).apply(rng, np.array(IDENTITY_INPUT))
+    assert rng.bit_generator.state != state
+    assert bits(got[[0, 4]]) == bits([0.0, 2.5])  # -1.0 clipped; 1e-300 noise is lost

@@ -238,3 +238,46 @@ class TestScenarioConfig:
             text = resources.files("unfolder").joinpath("configs", name).read_text()
             sc = uf.Scenario.from_dict(json.loads(text))
             assert sc.entries >= 5000
+
+
+class TestScenarioComponents:
+    """A component of the wrong kind is refused where it enters the Scenario,
+    naming its field, not at the first draw."""
+
+    @pytest.mark.parametrize("change, field", [
+        ({"truth": uf.GaussianSmearing(1.0)}, "truth"),
+        ({"truth": None}, "truth"),
+        ({"smearing": uf.CauchyTruth()}, "smearing"),
+        ({"smearing": {"type": "gaussian_convolution", "sigma": 1.0}}, "smearing")])
+    def test_unknown_model_is_refused(self, change, field):
+        with pytest.raises(uf.ParameterError, match="unknown component") as exc:
+            flat_scenario(**change)
+        assert exc.value.name == field
+
+    @pytest.mark.parametrize("axis", ["0:1:3", [0.0, 1.0, 2.0], None])
+    def test_meas_axis_must_be_an_axis(self, axis):
+        with pytest.raises(uf.ParameterError) as exc:
+            flat_scenario(meas_axis=axis)
+        assert exc.value.name == "meas_axis"
+
+
+class TestWorkersArgument:
+    """`workers` is read by the scalar rule before any thread starts."""
+
+    @pytest.mark.parametrize("workers", ["2", 2.5, True, None, 0, -3, math.inf])
+    def test_refused(self, monkeypatch, workers):
+        sc = flat_scenario(entries=50)
+        rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        with pytest.raises(uf.ParameterError, match="workers must be a finite integer >= 1"):
+            uf.pseudo_experiments(sc, 4, rm, uf.StoppingPolicy.fixed(0), workers=workers)
+        assert pools == []
+
+    def test_integral_float_is_read_as_its_integer(self):
+        sc = flat_scenario(entries=50)
+        rm = uf.ResponseMatrix(sc.meas_axis, sc.meas_axis, np.eye(16))
+        a = uf.pseudo_experiments(sc, 4, rm, uf.StoppingPolicy.fixed(0), workers=2.0)
+        b = uf.pseudo_experiments(sc, 4, rm, uf.StoppingPolicy.fixed(0), workers=2)
+        assert a.mean.tobytes() == b.mean.tobytes()
