@@ -182,10 +182,7 @@ class Axis(_ReadOnlyCopies):
 
     @property
     def centers(self) -> np.ndarray:
-        a, b = self.edges[:-1], self.edges[1:]
-        with np.errstate(over="ignore"):  # a + b can overflow where b - a does not
-            mid = 0.5 * (a + b)
-        return np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
+        return _midpoint(self.edges[:-1], self.edges[1:])
 
     def is_uniform(self) -> bool:
         """Every width equal to the first to a relative 1e-9."""
@@ -207,10 +204,23 @@ class Axis(_ReadOnlyCopies):
     def from_dict(cls, d) -> "Axis":
         """Accepts ``{"edges": [...]}`` or the uniform shorthand
         ``{"low": .., "high": .., "nbins": ..}``."""
-        if "edges" in _json_object("axis", d):
-            return cls(d["edges"])
-        _json_object("axis", d, "low", "high", "nbins")
-        return cls.uniform(d["low"], d["high"], d["nbins"])
+        return _axis_field("axis", d)
+
+
+def _midpoint(a, b):
+    """``0.5 * (a + b)``, or ``0.5 * a + 0.5 * b`` where the sum overflows."""
+    with np.errstate(over="ignore"):  # a + b can overflow where b - a does not
+        mid = 0.5 * (a + b)
+    return np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
+
+
+def _axis_field(name, d):
+    """:meth:`Axis.from_dict` of the field `name` of a file, which names a
+    missing key by that field (``true_axis.nbins``)."""
+    if "edges" in _json_object(name, d):
+        return Axis(d["edges"])
+    _json_object(name, d, "low", "high", "nbins")
+    return Axis.uniform(d["low"], d["high"], d["nbins"])
 
 
 def _check_shape(name, values, axis):
@@ -393,7 +403,7 @@ def rebin_axes(measured_axis: Axis, extension_factor=1.0, refine_factor=1) -> Ax
                 raise ParameterError(f"extension_factor {extension_factor!r} times the "
                                      f"span {float(span)!r} overflows float64", "extension_factor")
             n = int(round(n))
-            center = 0.5 * (edges[0] + edges[-1])
+            center = _midpoint(edges[0], edges[-1])
             low = center - 0.5 * n * width
             edges = _derived_axis("extension_factor", low + width * np.arange(n + 1)).edges
     if refine_factor == 1:

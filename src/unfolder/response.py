@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ConstructionError, DegenerateOperatorError,
                      DimensionError, InvalidKernelError)
-from .histogram import (Axis, Histogram, _float_array, _json_object, _load_json,
-                        _ReadOnlyCopies, _real, _save_json, _whole_number)
+from .histogram import (Axis, Histogram, _axis_field, _float_array, _json_object,
+                        _load_json, _ReadOnlyCopies, _real, _save_json, _whole_number)
 
 COLUMN_SUM_TOL = 1e-9
 PEAKED_RESPONSE_RATIO = 1e6
@@ -254,7 +254,8 @@ class ResponseMatrix(_ReadOnlyCopies):
     def from_dict(cls, d) -> "ResponseMatrix":
         # a stored factor below K, or above it by rounding only, is dropped
         d = _json_object("response", d, "true_axis", "meas_axis", "matrix")
-        rm = cls(Axis.from_dict(d["true_axis"]), Axis.from_dict(d["meas_axis"]), d["matrix"])
+        rm = cls(_axis_field("true_axis", d["true_axis"]),
+                 _axis_field("meas_axis", d["meas_axis"]), d["matrix"])
         stored = d.get("k_factor")
         if stored is not None:
             stored = _real("k_factor", stored)

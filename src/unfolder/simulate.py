@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .histogram import (Axis, Histogram, _json_object, _load_json, _real, _save_json,
-                        _whole_number, rebin_axes)
+from .histogram import (Axis, Histogram, _axis_field, _json_object, _load_json, _real,
+                        _save_json, _whole_number, rebin_axes)
 from .response import _PAIR_BLOCK, ResponseMatrix, _closed_edges, _gaussian_kernel
 
 # a pseudo_experiments worker draws consecutive experiments that fit this
@@ -308,7 +308,7 @@ class Scenario:
                 entry = _json_object(where, d[where], *names)
                 models.append(table[kind](**{name: entry[name] for name in names}))
             where = "meas_axis"
-            meas_axis = Axis.from_dict(d["meas_axis"])
+            meas_axis = _axis_field("meas_axis", d["meas_axis"])
             where = ""
             rebin = _json_object("rebin", d.get("rebin", {}))
             return cls(*models, d["entries"], d["seed"], meas_axis,

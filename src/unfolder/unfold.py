@@ -79,8 +79,11 @@ def l2_density_norm(masses, volumes) -> float:
     With mass m_i on a bin of volume v_i the density is m_i / v_i and the
     squared norm integrates to sum(m_i^2 / v_i).
     """
-    m = np.asarray(masses, dtype=np.float64)
-    v = np.asarray(volumes, dtype=np.float64)
+    return _l2(_float_array("masses", masses), _float_array("volumes", volumes))
+
+
+def _l2(m, v):
+    """:func:`l2_density_norm` of float64 arrays, unchecked."""
     return float(np.sqrt(np.sum(m * m / v)))
 
 
@@ -296,8 +299,12 @@ def bias_bound(s: IterateState, bin_volume: float) -> float:
     n = 10 against a per-bin deviation of 0.319.
     """
     bin_volume = _real("bin_volume", bin_volume, 0.0, strict=True)
-    return (1.0 / math.sqrt(bin_volume)) / (s.n + 2) \
-        * l2_density_norm(s.f_n, s.volumes)
+    return _bias(s.n, s.f_n, s.volumes, bin_volume)
+
+
+def _bias(n, f_n, volumes, bin_volume):
+    """:func:`bias_bound` from the order and iterate, unchecked."""
+    return (1.0 / math.sqrt(bin_volume)) / (n + 2) * _l2(f_n, volumes)
 
 
 def syst_bound(s: IterateState, R: ResponseMatrix, delta_g, bin_volume: float) -> float:
@@ -311,13 +318,13 @@ def syst_bound(s: IterateState, R: ResponseMatrix, delta_g, bin_volume: float) -
     on two unit bins and ``delta_g = (0, 1)`` it reads 0.150 at n = 1
     against a shift of 0.199, and 0.403 at n = 30 against 2.677.
     """
-    norm = l2_density_norm(_image(R.matrix.T / R.k_factor, R, "delta_g", delta_g), s.volumes)
+    bin_volume = _real("bin_volume", bin_volume, 0.0, strict=True)
+    norm = _l2(_image(R.matrix.T / R.k_factor, R, "delta_g", delta_g), s.volumes)
     return _syst(harmonic_number(s.n + 1), norm, bin_volume)
 
 
 def _syst(h, norm, bin_volume):
-    """:func:`syst_bound` from ``H_{n+1}`` and ``||K⁻¹Aᵀ delta_g||_2``."""
-    bin_volume = _real("bin_volume", bin_volume, 0.0, strict=True)
+    """:func:`syst_bound` from ``H_{n+1}`` and ``||K⁻¹Aᵀ delta_g||_2``, unchecked."""
     return (1.0 / math.sqrt(bin_volume)) * h * norm
 
 
@@ -331,57 +338,54 @@ def stat_summary(s: IterateState):
     return per_bin, integral, fraction
 
 
-def _budget(s: IterateState, nx, min_volume, syst_norm, h) -> ErrorBudget:
-    _, integral, fraction = stat_summary(s)
-    bias = bias_bound(s, min_volume)
-    syst = _syst(h, syst_norm, min_volume)
-    return ErrorBudget(
-        n=s.n,
-        bias_bound=bias,
-        stat_integral=integral,
-        stat_fraction=fraction,
-        syst_bound=syst,
-        total=bias * nx + integral + syst * nx,
-    )
+def _recursion(state: IterateState):
+    """The orders from `state` upward as ``(state, *stat_summary(state))``,
+    each stepped only when it is asked for."""
+    while True:
+        yield (state, *stat_summary(state))
+        state = step(state)
 
 
 def run(R: ResponseMatrix, g: Histogram, policy: StoppingPolicy,
         syst=None, covariance=None) -> UnfoldResult:
     """Iterate until the stopping policy fires and assemble the result.
 
-    The returned histogram carries the unfolded contents, per-bin
+    The orders are read as one stream, ``(state, per_bin, integral,
+    fraction)`` with ``H_{n+1}`` beside each: every budget, the stopping
+    decision and the result come from it, and nothing is recomputed after
+    the loop.  The returned histogram carries the unfolded contents, per-bin
     statistical errors from the propagated covariance, the per-bin
     systematic term (when a systematic offset was given) and the
     ``unfolded`` flag.  The trace records one :class:`ErrorBudget` per
     executed order, including order 0.  Scalar budgets use the smallest
     true-bin volume, the worst case on a non-uniform axis.
     """
-    state = best = init(R, g, syst=syst, covariance=covariance)
-    nx = R.true_axis.nbins
-    min_volume = float(state.volumes.min())
-    syst_norm = 0.0 if syst is None else l2_density_norm(state.delta_f0, state.volumes)
-    harmonics = _harmonic_numbers()  # H_{n+1} at order n
+    first = init(R, g, syst=syst, covariance=covariance)
+    nx, volumes = R.true_axis.nbins, first.volumes
+    min_volume = float(volumes.min())
+    syst_norm = 0.0 if syst is None else _l2(first.delta_f0, volumes)
 
-    cap = policy.max_iterations
-    budgets = [_budget(state, nx, min_volume, syst_norm, next(harmonics))]
-    while not policy._fired(budgets[-1], best.n) and state.n < cap:
-        state = step(state)
-        budgets.append(_budget(state, nx, min_volume, syst_norm, next(harmonics)))
+    budgets = []
+    for (s, per_bin, integral, fraction), h in zip(_recursion(first), _harmonic_numbers()):
+        bias = _bias(s.n, s.f_n, volumes, min_volume)
+        syst_term = _syst(h, syst_norm, min_volume)
+        budgets.append(ErrorBudget(s.n, bias, integral, fraction, syst_term,
+                                   total=bias * nx + integral + syst_term * nx))
         # min_total keeps its argmin, the other rules the last order
-        if policy.rule != "min_total" or budgets[-1].total < budgets[best.n].total:
-            best = state
-    truncated = not policy._fired(budgets[-1], best.n)
-    if truncated:
+        if s.n == 0 or policy.rule != "min_total" or budgets[-1].total < budgets[best[0].n].total:
+            best = (s, per_bin, h)
+        fired = policy._fired(budgets[-1], best[0].n)
+        if fired or s.n >= policy.max_iterations:
+            break
+    if not fired:
         warnings.warn(
-            f"stopping policy did not fire within {cap} iterations; "
+            f"stopping policy did not fire within {policy.max_iterations} iterations; "
             "returning the best order examined", RuntimeWarning)
 
-    per_bin, _, _ = stat_summary(best)
-    syst_err = None
-    if syst is not None:
-        # per-bin mass term: bin volume times the per-bin average term
-        syst_err = np.sqrt(best.volumes) * harmonic_number(best.n + 1) * syst_norm
-    result = Histogram(R.true_axis, best.f_n, stat_err=per_bin,
+    state, per_bin, h = best
+    # per-bin mass term: bin volume times the per-bin average term
+    syst_err = None if syst is None else np.sqrt(volumes) * h * syst_norm
+    result = Histogram(R.true_axis, state.f_n, stat_err=per_bin,
                        syst_err=syst_err, kind=g.kind, unfolded=True)
     return UnfoldResult(result=result, trace=tuple(budgets),
-                        stopped_at=best.n, truncated=truncated, state=best)
+                        stopped_at=state.n, truncated=not fired, state=state)

@@ -262,6 +262,18 @@ def test_refined_edges_are_the_per_bin_linspace(edges, refine, negative_zero):
         assert exc.value.name == "refine_factor"
 
 
+@pytest.mark.filterwarnings("error")
+def test_extension_centre_where_the_edge_sum_overflows():
+    # the centre is the midpoint Axis.centers takes: the plain sum of the
+    # outer edges overflowed, and the finite axis was refused
+    axis = uf.rebin_axes(uf.Axis([1e308, 1.25e308, 1.5e308]), 1.5)
+    np.testing.assert_allclose(axis.edges, [8.75e307, 1.125e308, 1.375e308, 1.625e308],
+                               rtol=1e-15)
+    # a factor that rounds to the measured bin count gives the axis back
+    one_bin = uf.Axis([1e308, 1.5e308])
+    assert uf.rebin_axes(one_bin, 1.1) == one_bin
+
+
 class TestDerivedAxisRefusals:
     """An axis that a rebin factor derives but float64 cannot hold is refused
     as a ParameterError naming that factor, with no warning and no
@@ -270,7 +282,7 @@ class TestDerivedAxisRefusals:
     @pytest.mark.parametrize("edges, extension", [
         (np.linspace(1e307, 1.5e308, 5), 2.0),  # the extended span overflows
         ([-1e308, 0.0, 1e308], 1.5),           # the measured span overflows
-        ([1e308, 1.5e308], 1.1)])              # the extended edges overflow
+        ([1e308, 1.5e308], 3.0)])              # the extended edges overflow
     def test_extension_is_named(self, edges, extension):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,8 @@
+import json
 import math
+import warnings
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -661,3 +664,82 @@ class TestTraceColumns:
         b = uf.ErrorBudget(n=n, bias_bound=0.1, stat_integral=1 / 3,
                            stat_fraction=math.inf, syst_bound=0.0, total=2e-300)
         assert b.csv_row() == "3,0.1,0.3333333333333333,inf,0.0,2e-300"
+
+
+def bundled_system(name):
+    """The bundled scenario `name` with the README's response: the kernel of
+    ``cauchy-gauss``, the pair sample of ``calorimeter``."""
+    sc = uf.Scenario.from_dict(json.loads(
+        resources.files("unfolder").joinpath("configs", name + ".json").read_text()))
+    sample = uf.generate(sc)
+    if name == "cauchy-gauss":
+        rm = uf.ResponseMatrix.from_kernel(sc.smearing.kernel(), sc.true_axis, sc.meas_axis)
+    else:
+        rm = uf.ResponseMatrix.from_pairs(sample.pairs, sc.true_axis, sc.meas_axis)
+    return rm, sample.measured
+
+
+@pytest.fixture(scope="module", params=["cauchy-gauss", "calorimeter"])
+def bundled(request):
+    return bundled_system(request.param)
+
+
+SEAM_POLICIES = [uf.StoppingPolicy.fixed(25), uf.StoppingPolicy.stat_fraction(0.1),
+                 uf.StoppingPolicy.min_total()]
+
+
+class TestOrderStream:
+    """`run` reads one order stream, ``unfold._recursion``: another source
+    of the same orders gives the same result, and the reference stream
+    steps once per order the trace records."""
+
+    @pytest.mark.parametrize("policy", SEAM_POLICIES, ids=lambda p: p.rule)
+    def test_geometric_sum_stream(self, monkeypatch, bundled, policy):
+        rm, g = bundled
+        ref = uf.run(rm, g, policy)
+        orders = range(len(ref.trace) + 20)  # room for a later stop to show
+        read = []
+
+        def geometric_stream(first):
+            f = geometric_sum_iterates(first.m0, first.f0, orders)
+            e = geometric_sum_iterates(first.m0, first.e0, orders)
+            for n in orders:
+                read.append(n)
+                s = replace(first, n=n, f_n=f[n], e_n=e[n])
+                yield (s, *uf.stat_summary(s))
+
+        monkeypatch.setattr(uf.unfold, "_recursion", geometric_stream)
+        out = uf.run(rm, g, policy)
+        assert read == list(range(len(out.trace)))
+        assert out.stopped_at == ref.stopped_at and not out.truncated
+        for field in ("contents", "stat_err"):
+            np.testing.assert_allclose(getattr(out.result, field),
+                                       getattr(ref.result, field), rtol=1e-10)
+
+    @pytest.mark.parametrize("policy, truncated", [
+        (uf.StoppingPolicy.fixed(12), False),
+        (uf.StoppingPolicy.stat_fraction(0.05), False),
+        (uf.StoppingPolicy.min_total(), False),
+        (uf.StoppingPolicy.min_total(max_iterations=3), True)],
+        ids=["fixed", "stat_fraction", "min_total", "truncated"])
+    def test_one_step_and_one_summary_per_order(self, monkeypatch, demo_response,
+                                                demo_scenario, policy, truncated):
+        steps, summaries = [], []
+        step, stat_summary = uf.unfold.step, uf.unfold.stat_summary
+
+        def counting_step(s):
+            steps.append(s.n)
+            return step(s)
+
+        def counting_summary(s):
+            summaries.append(s.n)
+            return stat_summary(s)
+
+        monkeypatch.setattr(uf.unfold, "step", counting_step)
+        monkeypatch.setattr(uf.unfold, "stat_summary", counting_summary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if truncated else "error")
+            out = uf.run(demo_response, uf.generate(demo_scenario).measured, policy)
+        assert out.truncated == truncated
+        assert steps == list(range(len(out.trace) - 1))
+        assert summaries == list(range(len(out.trace)))

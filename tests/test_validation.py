@@ -1,6 +1,7 @@
 """Non-finite values are rejected where they enter the library."""
 
 import json
+import math
 import re
 import warnings
 
@@ -777,12 +778,16 @@ MISSING = ([("histogram", H_DICT, key, key, None) for key in ("axis", "contents"
               for key in ("true_axis", "meas_axis", "matrix")]
            + [("histogram", {**H_DICT, "axis": UNIFORM}, f"axis.{key}", f"axis.{key}", None)
               for key in ("low", "high", "nbins")]
+           + [("response", {**R_DICT, "true_axis": UNIFORM, "meas_axis": UNIFORM},
+               f"{side}.{key}", f"{side}.{key}", None)
+              for side in ("true_axis", "meas_axis") for key in ("low", "high", "nbins")]
            + [("scenario", S_DICT, key, key, key)
               for key in ("truth", "smearing", "entries", "seed", "meas_axis")]
            + [("scenario", S_DICT, path, path, path)
               for path in ("truth.type", "truth.location", "truth.scale", "smearing.type",
                            "smearing.sigma")]
-           + [("scenario", S_DICT, "meas_axis.nbins", "axis.nbins", "meas_axis")])
+           + [("scenario", S_DICT, f"meas_axis.{key}", f"meas_axis.{key}", f"meas_axis.{key}")
+              for key in ("low", "high", "nbins")])
 
 
 class TestMissingFields:
@@ -815,6 +820,44 @@ class TestMissingFields:
         assert f"missing field '{name}'" in err
         assert err.endswith(f" (field: {field})\n" if field else "\n")
         assert not out.exists()
+
+
+class TestL2DensityNormArrays:
+    """`l2_density_norm` reads both its arrays by the array rule: what is
+    not an array of finite numbers is refused naming the parameter."""
+
+    BAD = {"strings": ["1", "2"], "booleans": [True, True], "dict": {"a": 1},
+           "nan": [np.nan, 1.0]}
+
+    @pytest.mark.parametrize("case", BAD)
+    @pytest.mark.parametrize("name", ["masses", "volumes"])
+    def test_refused_by_name(self, name, case):
+        args = {"masses": [1.0, 2.0], "volumes": [1.0, 1.0], name: self.BAD[case]}
+        with pytest.raises(uf.ParameterError, match=f"{name} must be") as exc:
+            uf.l2_density_norm(**args)
+        assert exc.value.name == name
+
+    def test_numbers_are_read(self):
+        assert uf.l2_density_norm([1, 2], np.array([1.0, 4.0])) == math.sqrt(2.0)
+
+    def test_no_array_check_per_order(self, monkeypatch):
+        # the order loop reads its norms unchecked: the checks a run makes
+        # do not grow with its order count
+        from unfolder import unfold
+        calls = []
+        checked = unfold._float_array
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(unfold, "_float_array", counting)
+        counts = []
+        for order in (2, 40):
+            calls.clear()
+            uf.run(IDENTITY, MEASURED, uf.StoppingPolicy.fixed(order), syst=[1.0, 0.0, 0.0])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestNotJson:
