@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .histogram import Histogram
-from .response import ResponseMatrix
+from .response import ResponseMatrix, _mapped
 
 # singular values below this fraction of the largest count as zero
 RANK_CUTOFF = 1e-12
@@ -48,12 +48,7 @@ def naive_invert(R: ResponseMatrix, g: Histogram) -> Histogram:
             "returning the minimum-norm solution", RuntimeWarning)
     np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    pinv = vt.T @ (s[:, None] * u.T)
-    f = pinv @ g.contents
-    stat = None
-    if g.stat_err is not None:
-        stat = np.sqrt((pinv ** 2) @ (g.stat_err ** 2))
-    return Histogram(R.true_axis, f, stat_err=stat, kind=g.kind, unfolded=True)
+    return _mapped(vt.T @ (s[:, None] * u.T), g, R.true_axis, True)
 
 
 def kernel_projector(R: ResponseMatrix) -> np.ndarray:

@@ -18,9 +18,10 @@ import argparse
 import gc
 import os
 import sys
+import warnings
 from pathlib import Path
 
-# Both settings below are made only in a fresh CLI process, one that has not
+# The settings below are made only in a fresh CLI process, one that has not
 # loaded numpy yet; a library caller's process is left as it is.
 #
 # After numpy loads, and after every threaded BLAS call, OpenBLAS's helper
@@ -38,9 +39,13 @@ from pathlib import Path
 # frozen (moved to a generation it never scans), the start-up pattern of
 # the ``gc.freeze`` docs.  The collector only frees unreachable objects, so
 # no output byte depends on it.
+#
+# A library warning prints as one line, ``warning: <message>``; Python's
+# format adds the source file's path, line number and line to stderr.
 _FRESH_PROCESS = "numpy" not in sys.modules
 if _FRESH_PROCESS:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     _gc_was_enabled = gc.isenabled()
     gc.disable()
 
@@ -225,6 +230,9 @@ def _cmd_invert(args):
     from .baseline import naive_invert
     measured = Histogram.load_json(args.measured)
     rm = ResponseMatrix.load_json(args.response)
+    truth = Histogram.load_json(args.truth) if args.truth else None
+    if truth is not None and truth.axis != rm.true_axis:
+        raise DimensionError("--truth histogram is not on the response's true axis")
     inverted = naive_invert(rm, measured)
     inverted.save_json(args.out)
     c = inverted.contents
@@ -232,13 +240,11 @@ def _cmd_invert(args):
     frac = flips / max(len(c) - 1, 1)
     print(f"sign alternation on {frac:.1%} of adjacent bin pairs; "
           f"max |content| = {np.abs(c).max():.6g}", file=sys.stderr)
-    if args.truth:
-        truth = Histogram.load_json(args.truth)
-        if truth.axis == inverted.axis:
-            ratio = np.abs(c).max() / max(np.abs(truth.contents).max(), 1e-300)
-            print(f"max |content| is {ratio:.3g} times the truth peak; "
-                  f"L1(inverted, truth) = {l1_distance(inverted, truth):.6g}",
-                  file=sys.stderr)
+    if truth is not None:
+        ratio = np.abs(c).max() / max(np.abs(truth.contents).max(), 1e-300)
+        print(f"max |content| is {ratio:.3g} times the truth peak; "
+              f"L1(inverted, truth) = {l1_distance(inverted, truth):.6g}",
+              file=sys.stderr)
     return 0
 
 
@@ -299,7 +305,7 @@ def _parser():
     inv = sub.add_parser("invert", help="naive least-squares inversion")
     inv.add_argument("--measured", required=True)
     inv.add_argument("--response", required=True)
-    inv.add_argument("--truth", help="truth histogram for oscillation metrics")
+    inv.add_argument("--truth", help="truth histogram (true axis) for oscillation metrics")
     inv.add_argument("--out", required=True)
     inv.set_defaults(func=_cmd_invert)
     return p

@@ -85,6 +85,20 @@ def compute_k(matrix) -> float:
     return k
 
 
+def _capped(matrix, col):
+    """`matrix` with each column whose sum in `col` exceeds 1 divided by it, in place."""
+    over = col > 1.0
+    if np.any(over):
+        matrix[:, over] /= col[over]
+    return matrix
+
+
+def _mapped(m, h, axis, unfolded):
+    """``m @ h`` on `axis`, of `h`'s kind; errors propagate as ``sqrt((m ** 2) @ σ²)``."""
+    stat = None if h.stat_err is None else np.sqrt((m ** 2) @ (h.stat_err ** 2))
+    return Histogram(axis, m @ h.contents, stat_err=stat, kind=h.kind, unfolded=unfolded)
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ResponseMatrix(_ReadOnlyCopies):
     """Folding operator between a true and a measured axis.
@@ -177,15 +191,12 @@ class ResponseMatrix(_ReadOnlyCopies):
             matrix[:, j0:j0 + chunk] = (vals.sum(axis=(2, 3)) * y_weight[:, None]) / quad_points
         # quadrature noise can push a column a hair over 1
         col = matrix.sum(axis=0)
-        over = col > 1.0
         if np.any(col > 1.0 + COLUMN_SUM_TOL):
             worst = int(np.argmax(col))
             raise InvalidKernelError(
                 f"kernel mass in column {worst} is {col[worst]:.9g} > 1; not a "
                 "conditional probability density (or quadrature too coarse)")
-        if np.any(over):
-            matrix[:, over] /= col[over]
-        return cls(true_axis, meas_axis, matrix)
+        return cls(true_axis, meas_axis, _capped(matrix, col))
 
     @classmethod
     def from_pairs(cls, pairs, true_axis, meas_axis):
@@ -209,11 +220,7 @@ class ResponseMatrix(_ReadOnlyCopies):
         matrix = num / np.maximum(denom, 1)[None, :]
         # the exact count ratios sum to <= 1 per column; keep that exact in
         # floating point too
-        col = matrix.sum(axis=0)
-        over = col > 1.0
-        if np.any(over):
-            matrix[:, over] /= col[over]
-        return cls(true_axis, meas_axis, matrix)
+        return cls(true_axis, meas_axis, _capped(matrix, matrix.sum(axis=0)))
 
     @property
     def shape(self):
@@ -233,12 +240,7 @@ class ResponseMatrix(_ReadOnlyCopies):
         """
         if f.axis != self.true_axis:
             raise DimensionError("histogram is not on the true axis")
-        contents = self.matrix @ f.contents
-        stat = None
-        if f.stat_err is not None:
-            stat = np.sqrt((self.matrix ** 2) @ (f.stat_err ** 2))
-        return Histogram(self.meas_axis, contents, stat_err=stat,
-                         kind=f.kind, unfolded=f.unfolded)
+        return _mapped(self.matrix, f, self.meas_axis, f.unfolded)
 
     # --- serialization -----------------------------------------------------
 

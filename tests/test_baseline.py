@@ -61,6 +61,13 @@ class TestNaiveInvert:
         oracle = np.sqrt((pinv ** 2) @ np.array([0.1, 0.2, 0.3]) ** 2)
         np.testing.assert_allclose(out.stat_err, oracle, rtol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["mass", "counts"])
+    def test_no_errors_stay_none_and_kind_carries(self, kind):
+        rm = response_of(WELL_CONDITIONED)
+        out = uf.naive_invert(rm, uf.Histogram(rm.meas_axis, [1.0, 2.0, 3.0], kind=kind))
+        assert out.stat_err is None
+        assert (out.kind, out.unfolded) == (kind, True)
+
 
 class TestKernelProjection:
     def test_invertible_projects_to_zero(self):

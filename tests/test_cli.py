@@ -572,6 +572,33 @@ class TestSystAxis:
         assert not (tmp_path / "t.csv").exists()
 
 
+class TestInvertTruthAxis:
+    def other_axis_truth(self, sim_dir, tmp_path):
+        # same number of bins, edges 0..100 instead of the true -10..10
+        d = json.loads((sim_dir / "truth.json").read_text())
+        d["axis"] = uf.Axis.uniform(0.0, 100.0, 100).to_dict()
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(d))
+        return path
+
+    def test_truth_on_another_axis_exits_3(self, sim_dir, response_file, tmp_path,
+                                           capsys):
+        assert run_cli("invert", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(response_file),
+                       "--truth", str(self.other_axis_truth(sim_dir, tmp_path)),
+                       "--out", str(tmp_path / "inv.json")) == 3
+        assert "error: --truth histogram is not on" in capsys.readouterr().err
+        assert not (tmp_path / "inv.json").exists()
+
+    def test_unfold_overlays_a_truth_on_any_axis(self, sim_dir, response_file, tmp_path):
+        assert run_cli("unfold", "--measured", str(sim_dir / "measured.json"),
+                       "--response", str(response_file), "--stop", "fixed=3",
+                       "--truth", str(self.other_axis_truth(sim_dir, tmp_path)),
+                       "--out", str(tmp_path / "o.json"),
+                       "--svg", str(tmp_path / "o.svg")) == 0
+        assert (tmp_path / "o.svg").stat().st_size > 0
+
+
 class TestBadFactors:
     """A non-finite or too small --rebin factor, or one that would make more
     than MAX_BINS true bins, a non-finite --sigma, and a scenario number

@@ -261,6 +261,18 @@ class TestFromPairs:
             rm = uf.ResponseMatrix.from_pairs([(0.5, 0.5)], ax, ax)
         assert rm.zero_columns == (1,)
 
+    def test_a_column_rounded_over_one_is_capped(self):
+        # 13 pairs of one true bin measured 4/3/3/3: the ratios k/13 sum to
+        # 1 + 2**-52, so the column is divided by its sum
+        raw = np.array([4.0, 3.0, 3.0, 3.0]) / 13
+        assert raw.sum() == 1.0 + 2.0 ** -52
+        y = np.repeat([0.5, 1.5, 2.5, 3.5], [4, 3, 3, 3])
+        rm = uf.ResponseMatrix.from_pairs(np.column_stack([np.full(13, 0.5), y]),
+                                          uf.Axis.uniform(0, 1, 1), uf.Axis.uniform(0, 4, 4))
+        np.testing.assert_array_equal(rm.matrix[:, 0], raw / raw.sum())
+        assert rm.matrix[0, 0] != raw[0]
+        assert rm.matrix[:, 0].tolist() == [0.30769230769230765] + [0.23076923076923073] * 3
+
 
 class TestValidation:
     def test_column_sum_above_one_rejected(self):
@@ -332,6 +344,32 @@ class TestApply:
         rm = uf.ResponseMatrix(ax, ax, np.eye(3))
         with pytest.raises(DimensionError):
             rm.fold(uf.Histogram(uf.Axis.uniform(0, 2, 3), [1.0, 1.0, 1.0]))
+
+
+class TestFoldErrors:
+    """fold propagates per-bin errors as sqrt((A ** 2) @ σ²), and an input
+    without errors gives an output without them."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagonal_rule_to_the_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(n) for n in rng.integers(1, 40, 2))
+        a = random_response_matrix(rng, nx, ny)
+        rm = uf.ResponseMatrix(uf.Axis.uniform(0, 1, nx), uf.Axis.uniform(0, 1, ny), a)
+        sigma = rng.uniform(0.0, 10.0, nx)
+        out = rm.fold(uf.Histogram(rm.true_axis, rng.uniform(0.0, 100.0, nx),
+                                   stat_err=sigma))
+        np.testing.assert_array_equal(out.stat_err, np.sqrt((a ** 2) @ (sigma ** 2)))
+
+    @pytest.mark.parametrize("kind", ["mass", "counts"])
+    @pytest.mark.parametrize("unfolded", [False, True])
+    def test_no_errors_stay_none_and_kind_and_flag_carry(self, kind, unfolded):
+        a = random_response_matrix(np.random.default_rng(4), 3, 4)
+        rm = uf.ResponseMatrix(uf.Axis.uniform(0, 1, 3), uf.Axis.uniform(0, 1, 4), a)
+        out = rm.fold(uf.Histogram(rm.true_axis, [1.0, 2.0, 3.0], kind=kind,
+                                   unfolded=unfolded))
+        assert out.stat_err is None
+        assert (out.kind, out.unfolded) == (kind, unfolded)
 
 
 class TestSerialization:

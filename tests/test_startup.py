@@ -1,7 +1,8 @@
 """Start-up of a fresh interpreter: ``import unfolder`` resolves its public
-names lazily, the CLI sets OpenBLAS's idle timeout and freezes the cyclic
-collector's view of its imports when it loads numpy itself, and each CLI
-subcommand loads only the package modules it runs.
+names lazily, the CLI sets OpenBLAS's idle timeout, freezes the cyclic
+collector's view of its imports and prints warnings as one line when it
+loads numpy itself, and each CLI subcommand loads only the package modules
+it runs.
 
 Each check runs in a child interpreter, since this one has numpy loaded.
 """
@@ -277,6 +278,44 @@ class TestCollectorFreeze:
                     stdout.append(buf.getvalue())
             outputs[side] = [(out / name).read_bytes() for name in names] + stdout
         assert outputs["fresh"] == outputs["in-process"]
+
+
+class TestWarningFormat:
+    """A fresh CLI process prints a library warning as ``warning: <message>``;
+    a process that had numpy loaded first keeps Python's format."""
+
+    @pytest.fixture(scope="class")
+    def demo(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("demo")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "cauchy-gauss", "--out", str(d)]) == 0
+            assert cli.main(["response", "--kernel", "gauss", "--sigma", "1.0",
+                             "--meas-axis=-10:10:100", "--out", str(d / "R.json")]) == 0
+        return d
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invert", "--out", "naive.json"],
+         "response rank 52 < 100 true bins; returning the minimum-norm solution"),
+        (["unfold", "--stop", "min-total", "--max-iterations", "3", "--out", "cap.json"],
+         "stopping policy did not fire within 3 iterations; returning the best order "
+         "examined"),
+    ], ids=["invert", "unfold-cap"])
+    def test_one_line_without_source(self, demo, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "unfolder.cli", *argv, "--measured", "measured.json",
+             "--response", "R.json"],
+            cwd=demo, env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert f"warning: {message}\n" in proc.stderr.splitlines(keepends=True)
+        assert ".py:" not in proc.stderr
+
+    def test_library_process_keeps_pythons_format(self):
+        out = run_python("import json, warnings\n"
+                         "import numpy\n"
+                         "before = warnings.formatwarning\n"
+                         "import unfolder.cli\n"
+                         "print(json.dumps(warnings.formatwarning is before))")
+        assert out is True
 
 
 class TestLazyResources:
